@@ -1,7 +1,7 @@
 """Martingale-measure families, super-hedging and optional decomposition
 for discrete-time risky-asset evolutions on finite shock spaces."""
 
-from .backend import NAME as backend_name
+from ._engine import NAME as backend_name
 from .decomposition import (Decomposition, SupermartingaleSurface,
                             check_ratio_bound, gamma_step, optional_decompose,
                             verify_decomposition)

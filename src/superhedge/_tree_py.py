@@ -1,27 +1,9 @@
-"""Pure-Python tree kernels (fallback for the compiled extension).
+"""Scalar helpers of the spot-tree recursion.
 
-Both backends implement the same two entry points with an identical
-operation order, so their outputs agree bit-for-bit:
-
-``tree_expectation``
-    Expectation of a payoff under the weighted binary tree induced by one
-    (down, up) shock pair per step.  Branch weights at a node with
-    volatility ``sigma`` are
-
-        psi_down = (e^{sigma*eps_up} - 1) / (e^{sigma*eps_up} - e^{sigma*eps_dn})
-        psi_up   = (1 - e^{sigma*eps_dn}) / (same denominator)
-
-    and the price moves by the factor ``1 + a*(e^{sigma*eps} - 1)``.
-    Leaves are visited depth-first, down branch first, and accumulated
-    into a single running sum (strict left-to-right addition).
-
-``scan_selections``
-    Exhaustive maximum of ``tree_expectation`` over every combination of
-    per-step (down, up) candidate pairs.  Combinations are visited in
-    lexicographic order (step 0 most significant; within a step the down
-    candidate is the major index) and only strictly larger values replace
-    the incumbent, so ties resolve to the lexicographically smallest
-    combination.
+The volatility recursion, the saturating exponential and the payoff codes,
+one value at a time.  ``model`` (path prices), ``Payoff.value`` and the
+mixture grids use them directly; the batched engine (``_engine``) applies
+the same formulas elementwise, in the same operation order.
 
 Volatility kinds: 0 constant (params[0] = sigma), 1 ARCH(1)
 (omega0, alpha1, floor), 2 GARCH(1,1) (omega0, alpha1, beta1, floor).
@@ -35,8 +17,6 @@ from __future__ import annotations
 import math
 from math import sqrt
 
-NAME = "python"
-
 _INF = float("inf")
 
 
@@ -46,15 +26,6 @@ def exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return _INF
-
-
-def branch_weights(ed: float, eu: float) -> tuple[float, float]:
-    """Risk-neutral (down, up) weights; at eu = inf the up weight is the
-    exact limit 0 and the down branch carries all mass."""
-    if eu == _INF:
-        return 1.0, 0.0
-    denom = eu - ed
-    return (eu - 1.0) / denom, (1.0 - ed) / denom
 
 
 def sigma_initial(kind: int, params) -> float:
@@ -105,114 +76,3 @@ def payoff_value(pkind: int, pa: float, pxs, pys, s_n: float, path_sum: float,
         d = pa - path_sum / n_plus_1
         return d if d > 0.0 else 0.0
     return _pwl(s_n, pxs, pys, pa)
-
-
-def tree_expectation(s0, a, vkinds, vparams, eps_dn, eps_up,
-                     pkind, pa, pxs, pys) -> float:
-    n = len(a)
-    n_plus_1 = float(n + 1)
-    acc = [0.0]
-
-    def rec(level, price, prob, path_sum, sigma_prev, eps_prev):
-        if level == n:
-            acc[0] += prob * payoff_value(pkind, pa, pxs, pys, price, path_sum,
-                                          n_plus_1)
-            return
-        if level == 0:
-            sigma = sigma_initial(vkinds[0], vparams[0])
-        else:
-            sigma = sigma_next(vkinds[level], vparams[level], sigma_prev, eps_prev)
-        ed = exp(sigma * eps_dn[level])
-        eu = exp(sigma * eps_up[level])
-        psi_d, psi_u = branch_weights(ed, eu)
-        if psi_d != 0.0:
-            pd = price * (1.0 + a[level] * (ed - 1.0))
-            rec(level + 1, pd, prob * psi_d, path_sum + pd, sigma,
-                eps_dn[level])
-        if psi_u != 0.0:
-            pu = price * (1.0 + a[level] * (eu - 1.0))
-            rec(level + 1, pu, prob * psi_u, path_sum + pu, sigma,
-                eps_up[level])
-
-    rec(0, s0, 1.0, s0, 0.0, 0.0)
-    return acc[0]
-
-
-def _cached_tree(s0, n, psi_d, psi_u, fd, fu, pairs, pkind, pa, pxs, pys) -> float:
-    n_plus_1 = float(n + 1)
-    acc = [0.0]
-
-    def rec(level, price, prob, path_sum):
-        if level == n:
-            acc[0] += prob * payoff_value(pkind, pa, pxs, pys, price, path_sum,
-                                          n_plus_1)
-            return
-        p = pairs[level]
-        if psi_d[level][p] != 0.0:
-            pd = price * fd[level][p]
-            rec(level + 1, pd, prob * psi_d[level][p], path_sum + pd)
-        if psi_u[level][p] != 0.0:
-            pu = price * fu[level][p]
-            rec(level + 1, pu, prob * psi_u[level][p], path_sum + pu)
-
-    rec(0, s0, 1.0, s0)
-    return acc[0]
-
-
-def scan_selections(s0, a, vkinds, vparams, dn_cands, up_cands,
-                    pkind, pa, pxs, pys):
-    """Return (best value, best per-step (down, up) candidate indices)."""
-    n = len(a)
-    n_pairs = [len(dn_cands[st]) * len(up_cands[st]) for st in range(n)]
-    const_vol = all(k == 0 for k in vkinds)
-
-    psi_d = psi_u = fd = fu = None
-    if const_vol:
-        psi_d, psi_u, fd, fu = [], [], [], []
-        for st in range(n):
-            sigma = vparams[st][0]
-            row_pd, row_pu, row_fd, row_fu = [], [], [], []
-            for d in dn_cands[st]:
-                ed = exp(sigma * d)
-                for u in up_cands[st]:
-                    eu = exp(sigma * u)
-                    psi_d_val, psi_u_val = branch_weights(ed, eu)
-                    row_pd.append(psi_d_val)
-                    row_pu.append(psi_u_val)
-                    row_fd.append(1.0 + a[st] * (ed - 1.0))
-                    row_fu.append(1.0 + a[st] * (eu - 1.0))
-            psi_d.append(row_pd)
-            psi_u.append(row_pu)
-            fd.append(row_fd)
-            fu.append(row_fu)
-
-    best = -float("inf")
-    best_pairs = None
-    idx = [0] * n
-    while True:
-        if const_vol:
-            value = _cached_tree(s0, n, psi_d, psi_u, fd, fu, idx,
-                                 pkind, pa, pxs, pys)
-        else:
-            eps_dn = [dn_cands[st][idx[st] // len(up_cands[st])] for st in range(n)]
-            eps_up = [up_cands[st][idx[st] % len(up_cands[st])] for st in range(n)]
-            value = tree_expectation(s0, a, vkinds, vparams, eps_dn, eps_up,
-                                     pkind, pa, pxs, pys)
-        if value > best:
-            best = value
-            best_pairs = list(idx)
-        # advance the mixed-radix counter, last step fastest
-        st = n - 1
-        while st >= 0:
-            idx[st] += 1
-            if idx[st] < n_pairs[st]:
-                break
-            idx[st] = 0
-            st -= 1
-        if st < 0:
-            break
-
-    n_up = [len(up_cands[st]) for st in range(n)]
-    pairs = [(best_pairs[st] // n_up[st], best_pairs[st] % n_up[st])
-             for st in range(n)]
-    return best, pairs

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: price, interval, estimate, verify, decompose, oracle.
-Exit codes: 0 success, 1 validation failure, 2 budget/cap exceeded.
+Exit codes: 0 success, 1 validation failure or unreadable/unwritable file,
+2 budget/cap exceeded.
 Reports are JSON with floats at 17 significant digits; stdout carries a
 human-readable summary.
 """
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

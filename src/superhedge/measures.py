@@ -29,39 +29,27 @@ excluded from spot selections, where it would degenerate the tree).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import _tree_py
-from .backend import kernels
+from . import _engine, _tree_py
+from ._engine import payoff_encoding as _payoff_encoding
+from ._engine import payoff_fn as _payoff_fn
 from .errors import CapExceededError, ValidationError
 from .model import (PATH_CAP, EvolutionModel, StepSpec, enumerate_paths,
                     require_valid, sigma_at)
 
 SELECTION_CAP = 2_000_000
-
-
-# -- payoff duck-typing ---------------------------------------------------
-
-def _payoff_encoding(payoff, n_steps: int):
-    enc = getattr(payoff, "kernel_encoding", None)
-    if enc is None:
-        return None
-    return enc(n_steps)
-
-
-def _payoff_fn(payoff) -> Callable:
-    """Normalize a payoff to a callable (prices, atoms) -> float."""
-    value = getattr(payoff, "value", None)
-    if value is not None:
-        return value
-    if callable(payoff):
-        return lambda prices, atoms: float(payoff(prices))
-    raise ValidationError("payoff is neither a Payoff nor a callable")
+# Sweeping max_node_drift over every selection of a model costs one engine
+# batch, not one walk per tree: the first request on a model whose
+# selections hold at most this many leaves in all computes the drifts of
+# all of them, and the table of the last such model is kept.
+DRIFT_TABLE_LEAVES = 1 << 17
 
 
 # -- spot measures --------------------------------------------------------
@@ -108,6 +96,33 @@ def all_selections(model: EvolutionModel) -> Iterator[AtomPairSelection]:
         yield AtomPairSelection(tuple(combo))
 
 
+def _atom_candidates(model: EvolutionModel):
+    """Strictly-down and up atom indices per step, and their eps values."""
+    n = model.n_steps
+    atoms_dn = [list(model.strict_down_indices(k)) for k in range(1, n + 1)]
+    atoms_up = [list(model.up_indices(k)) for k in range(1, n + 1)]
+    dn_cands = [[model.steps[k].shocks[i].eps for i in atoms_dn[k]]
+                for k in range(n)]
+    up_cands = [[model.steps[k].shocks[i].eps for i in atoms_up[k]]
+                for k in range(n)]
+    return atoms_dn, atoms_up, dn_cands, up_cands
+
+
+@functools.lru_cache(maxsize=1)
+def _drift_table(model: EvolutionModel):
+    """``max_node_drift`` of every selection, in ``all_selections`` order;
+    None when the selections hold too many leaves or one of their trees
+    raises (the requested tree is then evaluated alone)."""
+    if selection_count(model) << model.n_steps > DRIFT_TABLE_LEAVES:
+        return None
+    _, _, dn_cands, up_cands = _atom_candidates(model)
+    eps_dn, eps_up = _engine.combinations(dn_cands, up_cands)
+    try:
+        return _engine.max_drifts(model, eps_dn, eps_up)
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
 def psi_weights(model: EvolutionModel, history: Sequence[float],
                 eps_down: float, eps_up: float) -> tuple[float, float]:
     """Risk-neutral branch weights for one sign-separated shock pair."""
@@ -131,64 +146,12 @@ def _selection_eps(model: EvolutionModel,
     return eps_dn, eps_up
 
 
-def _spot_walk(model: EvolutionModel, eps_dn: Sequence[float],
-               eps_up: Sequence[float], payoff_fn: Callable,
-               atoms_dn=None, atoms_up=None) -> float:
-    """Generic spot-tree expectation; traversal order matches the kernels."""
-    n = model.n_steps
-    a = [s.a for s in model.steps]
-    vk, vp = model.kernel_vol_arrays()
-    acc = [0.0]
-    prices = [model.s0]
-    atoms: list[int] = []
-
-    def rec(level, prob, sigma_prev, eps_prev):
-        if level == n:
-            acc[0] += prob * payoff_fn(tuple(prices),
-                                       tuple(atoms) if atoms_dn else None)
-            return
-        if level == 0:
-            sigma = _tree_py.sigma_initial(vk[0], vp[0])
-        else:
-            sigma = _tree_py.sigma_next(vk[level], vp[level], sigma_prev,
-                                        eps_prev)
-        ed = _tree_py.exp(sigma * eps_dn[level])
-        eu = _tree_py.exp(sigma * eps_up[level])
-        psi_d, psi_u = _tree_py.branch_weights(ed, eu)
-        if psi_d != 0.0:
-            prices.append(prices[-1] * (1.0 + a[level] * (ed - 1.0)))
-            if atoms_dn:
-                atoms.append(atoms_dn[level])
-            rec(level + 1, prob * psi_d, sigma, eps_dn[level])
-            prices.pop()
-            if atoms_dn:
-                atoms.pop()
-        if psi_u != 0.0:
-            prices.append(prices[-1] * (1.0 + a[level] * (eu - 1.0)))
-            if atoms_dn:
-                atoms.append(atoms_up[level])
-            rec(level + 1, prob * psi_u, sigma, eps_up[level])
-            prices.pop()
-            if atoms_dn:
-                atoms.pop()
-
-    rec(0, 1.0, 0.0, 0.0)
-    return acc[0]
-
-
 def spot_tree_value(model: EvolutionModel, eps_dn: Sequence[float],
                     eps_up: Sequence[float], payoff) -> float:
     """Spot-tree expectation for explicit eps pairs (used by grid search)."""
     if 2 ** model.n_steps > PATH_CAP:
         raise CapExceededError(f"2^{model.n_steps} branches exceed cap")
-    enc = _payoff_encoding(payoff, model.n_steps)
-    if enc is not None:
-        vk, vp = model.kernel_vol_arrays()
-        pkind, pa, pxs, pys = enc
-        return kernels.tree_expectation(model.s0, [s.a for s in model.steps],
-                                        vk, vp, list(eps_dn), list(eps_up),
-                                        pkind, pa, pxs, pys)
-    return _spot_walk(model, eps_dn, eps_up, _payoff_fn(payoff))
+    return float(_engine.values(model, [eps_dn], [eps_up], payoff)[0])
 
 
 def spot_expectation(model: EvolutionModel, selection: AtomPairSelection,
@@ -198,17 +161,10 @@ def spot_expectation(model: EvolutionModel, selection: AtomPairSelection,
     if 2 ** model.n_steps > PATH_CAP:
         raise CapExceededError(f"2^{model.n_steps} branches exceed cap")
     eps_dn, eps_up = _selection_eps(model, selection)
-    enc = _payoff_encoding(payoff, model.n_steps)
-    if enc is not None:
-        vk, vp = model.kernel_vol_arrays()
-        pkind, pa, pxs, pys = enc
-        return kernels.tree_expectation(model.s0, [s.a for s in model.steps],
-                                        vk, vp, eps_dn, eps_up,
-                                        pkind, pa, pxs, pys)
     atoms_dn = [d for d, _ in selection.pairs]
     atoms_up = [u for _, u in selection.pairs]
-    return _spot_walk(model, eps_dn, eps_up, _payoff_fn(payoff),
-                      atoms_dn, atoms_up)
+    return float(_engine.values(model, [eps_dn], [eps_up], payoff,
+                                [atoms_dn], [atoms_up])[0])
 
 
 @dataclass(frozen=True)
@@ -225,35 +181,20 @@ class SpotMeasure:
     def max_node_drift(self) -> float:
         """Largest |conditional one-step drift| / node price over the tree."""
         model = self.model
+        try:
+            table = _drift_table(model)
+        except TypeError:          # a model built from lists is unhashable
+            table = None
+        if table is not None:
+            flat = 0
+            for n, (d, u) in enumerate(self.selection.pairs, start=1):
+                downs = model.strict_down_indices(n)
+                ups = model.up_indices(n)
+                flat = (flat * len(downs) + downs.index(d)) * len(ups) \
+                    + ups.index(u)
+            return float(table[flat])
         eps_dn, eps_up = _selection_eps(model, self.selection)
-        worst = 0.0
-        n = model.n_steps
-
-        def rec(level, price, sigma_prev, eps_prev):
-            nonlocal worst
-            if level == n:
-                return
-            if level == 0:
-                vol = model.steps[0].vol
-                sigma = _tree_py.sigma_initial(vol.kind_code, vol.params4)
-            else:
-                vol = model.steps[level].vol
-                sigma = _tree_py.sigma_next(vol.kind_code, vol.params4,
-                                            sigma_prev, eps_prev)
-            ed = math.exp(sigma * eps_dn[level])
-            eu = math.exp(sigma * eps_up[level])
-            denom = eu - ed
-            psi_d = (eu - 1.0) / denom
-            psi_u = (1.0 - ed) / denom
-            a = model.steps[level].a
-            drift = psi_d * (price * a * (ed - 1.0)) \
-                + psi_u * (price * a * (eu - 1.0))
-            worst = max(worst, abs(drift) / price)
-            rec(level + 1, price * (1.0 + a * (ed - 1.0)), sigma, eps_dn[level])
-            rec(level + 1, price * (1.0 + a * (eu - 1.0)), sigma, eps_up[level])
-
-        rec(0, model.s0, 0.0, 0.0)
-        return worst
+        return float(_engine.max_drifts(model, [eps_dn], [eps_up])[0])
 
     def as_density(self) -> "MeasureDensity":
         """Express the spot measure as a density on the full space.
@@ -593,29 +534,28 @@ def integral_representation_check(model: EvolutionModel, alphas: AlphaDensity,
     if combos > SELECTION_CAP:
         raise CapExceededError(f"{combos} pair combinations exceed cap")
     lhs = measure_expectation(model, mixture_density(model, alphas), payoff)
-    fn = _payoff_fn(payoff)
-    per_step = []
+    # alpha weight of every pair combination, lexicographic, multiplied in
+    # step order starting from 1.0
+    weights = np.ones(1)
+    dn_cands, up_cands = [], []
     for n, sa in enumerate(alphas.steps):
-        probs = [at.prob for at in model.steps[n].shocks]
-        entries = []
-        for i, d in enumerate(sa.down_atoms):
-            for j, u in enumerate(sa.up_atoms):
-                entries.append((d, u,
-                                probs[d] * probs[u] * float(sa.weights[i, j])))
-        per_step.append(entries)
+        shocks = model.steps[n].shocks
+        w = np.asarray(sa.weights, dtype=float)
+        step_w = [shocks[d].prob * shocks[u].prob * float(w[i, j])
+                  for i, d in enumerate(sa.down_atoms)
+                  for j, u in enumerate(sa.up_atoms)]
+        weights = (weights[:, None] * np.array(step_w)[None, :]).ravel()
+        dn_cands.append([shocks[d].eps for d in sa.down_atoms])
+        up_cands.append([shocks[u].eps for u in sa.up_atoms])
     rhs = 0.0
-    for combo in itertools.product(*per_step):
-        weight = 1.0
-        for _, _, w in combo:
-            weight *= w
-        eps_dn = [model.steps[n].shocks[combo[n][0]].eps
-                  for n in range(model.n_steps)]
-        eps_up = [model.steps[n].shocks[combo[n][1]].eps
-                  for n in range(model.n_steps)]
-        atoms_dn = [combo[n][0] for n in range(model.n_steps)]
-        atoms_up = [combo[n][1] for n in range(model.n_steps)]
-        rhs += weight * _spot_walk(model, eps_dn, eps_up, fn,
-                                   atoms_dn, atoms_up)
+    offset = 0
+    for vals in _engine.scan_values(model, dn_cands, up_cands, payoff,
+                                    [sa.down_atoms for sa in alphas.steps],
+                                    [sa.up_atoms for sa in alphas.steps]):
+        terms = weights[offset:offset + vals.size] * vals
+        offset += vals.size
+        for t in terms.tolist():
+            rhs += t
     return abs(lhs - rhs)
 
 

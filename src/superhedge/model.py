@@ -77,7 +77,7 @@ class VolatilitySpec:
 
     @property
     def params4(self) -> tuple[float, float, float, float]:
-        """Parameter row in the layout the tree kernels expect."""
+        """Parameter row in the layout the tree engine expects."""
         if self.kind == "constant":
             return (self.sigma, 0.0, 0.0, 0.0)
         if self.kind == "arch1":
@@ -87,9 +87,20 @@ class VolatilitySpec:
     def violations(self, step: int) -> list[str]:
         out = []
         if self.kind == "constant":
+            fields = ("sigma",)
+        elif self.kind == "arch1":
+            fields = ("omega0", "alpha1", "floor")
+        elif self.kind == "garch11":
+            fields = ("omega0", "alpha1", "beta1", "floor")
+        else:
+            return [f"unknown volatility kind {self.kind!r} at step {step}"]
+        bad = [f for f in fields if not math.isfinite(getattr(self, f))]
+        if bad:
+            return [f"{', '.join(bad)} not finite at step {step}"]
+        if self.kind == "constant":
             if not self.sigma > 0:
                 out.append(f"constant sigma not positive at step {step}")
-        elif self.kind in ("arch1", "garch11"):
+        else:
             if not self.omega0 > 0:
                 out.append(f"omega0 not positive at step {step}")
             if self.alpha1 < 0:
@@ -98,8 +109,6 @@ class VolatilitySpec:
                 out.append(f"beta1 negative at step {step}")
             if not self.floor > 0:
                 out.append(f"vol floor not positive at step {step}")
-        else:
-            out.append(f"unknown volatility kind {self.kind!r} at step {step}")
         return out
 
 
@@ -173,7 +182,9 @@ class Path:
 def validate_model(model: EvolutionModel) -> list[str]:
     """Check every structural condition; empty report means valid."""
     report: list[str] = []
-    if not model.s0 > 0:
+    if not math.isfinite(model.s0):
+        report.append("s0 not finite")
+    elif not model.s0 > 0:
         report.append("s0 not positive")
     if model.n_steps < 1:
         report.append("model has no steps")
@@ -181,7 +192,9 @@ def validate_model(model: EvolutionModel) -> list[str]:
         # estimated (pricing-only) exposures may vanish
         a_ok = (0.0 <= step.a <= 1.0) if model.pricing_only \
             else (0.0 < step.a <= 1.0)
-        if not a_ok:
+        if not math.isfinite(step.a):
+            report.append(f"a not finite at step {k}")
+        elif not a_ok:
             report.append(f"a out of (0,1] at step {k}")
         report.extend(step.vol.violations(k))
         if model.pricing_only:
@@ -192,7 +205,9 @@ def validate_model(model: EvolutionModel) -> list[str]:
             report.append(f"no shocks at step {k}")
             continue
         for at in step.shocks:
-            if not at.prob > 0:
+            if not math.isfinite(at.prob):
+                report.append(f"atom probability not finite at step {k}")
+            elif not at.prob > 0:
                 report.append(f"atom probability not positive at step {k}")
             if not math.isfinite(at.eps):
                 report.append(f"non-finite shock value at step {k}")
@@ -318,14 +333,35 @@ def simulate(model: EvolutionModel, count: int, seed: int) -> list[Path]:
 
 # -- model file format --------------------------------------------------
 
-_VOL_FIELDS = {
-    "constant": {"kind", "sigma"},
-    "arch1": {"kind", "omega0", "alpha1", "floor"},
-    "garch11": {"kind", "omega0", "alpha1", "beta1", "floor"},
+_VOL_ORDER = {
+    "constant": ("sigma",),
+    "arch1": ("omega0", "alpha1", "floor"),
+    "garch11": ("omega0", "alpha1", "beta1", "floor"),
 }
+_VOL_FIELDS = {kind: {"kind", *fields} for kind, fields in _VOL_ORDER.items()}
+
+
+def _number(d: dict, key: str, where: str) -> float:
+    """``d[key]`` as a float; a missing or non-numeric value is a
+    ValidationError naming ``where``."""
+    if key not in d:
+        raise ValidationError(f"missing '{key}' {where}")
+    try:
+        return float(d[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"'{key}' {where} is not a number: {d[key]!r}") from None
+
+
+def _require(obj, kind: type, what: str):
+    if not isinstance(obj, kind):
+        raise ValidationError(f"{what} must be a JSON "
+                              f"{'object' if kind is dict else 'array'}")
+    return obj
 
 
 def _vol_from_dict(d: dict, step: int) -> VolatilitySpec:
+    _require(d, dict, f"vol at step {step}")
     kind = d.get("kind")
     if kind not in _VOL_FIELDS:
         raise ValidationError(f"unknown volatility kind {kind!r} at step {step}")
@@ -337,16 +373,14 @@ def _vol_from_dict(d: dict, step: int) -> VolatilitySpec:
     if missing:
         raise ValidationError(
             f"missing vol fields {sorted(missing)} at step {step}")
-    if kind == "constant":
-        return VolatilitySpec.constant(float(d["sigma"]))
-    if kind == "arch1":
-        return VolatilitySpec.arch1(float(d["omega0"]), float(d["alpha1"]),
-                                    float(d["floor"]))
-    return VolatilitySpec.garch11(float(d["omega0"]), float(d["alpha1"]),
-                                  float(d["beta1"]), float(d["floor"]))
+    where = f"in vol at step {step}"
+    values = [_number(d, f, where) for f in _VOL_ORDER[kind]]
+    return {"constant": VolatilitySpec.constant, "arch1": VolatilitySpec.arch1,
+            "garch11": VolatilitySpec.garch11}[kind](*values)
 
 
 def model_from_dict(doc: dict) -> EvolutionModel:
+    _require(doc, dict, "model")
     allowed = {"s0", "steps", "pricing_only"}
     extra = set(doc) - allowed
     if extra:
@@ -355,19 +389,23 @@ def model_from_dict(doc: dict) -> EvolutionModel:
         raise ValidationError("model file needs 's0' and 'steps'")
     pricing_only = bool(doc.get("pricing_only", False))
     steps = []
-    for k, sd in enumerate(doc["steps"], start=1):
+    for k, sd in enumerate(_require(doc["steps"], list, "'steps'"), start=1):
+        _require(sd, dict, f"step {k}")
         extra = set(sd) - {"a", "vol", "shocks"}
         if extra:
             raise ValidationError(f"unknown step fields {sorted(extra)} at step {k}")
         if "a" not in sd or "vol" not in sd or "shocks" not in sd:
             raise ValidationError(f"step {k} needs 'a', 'vol' and 'shocks'")
         shocks = []
-        for ad in sd["shocks"]:
+        for ad in _require(sd["shocks"], list, f"'shocks' at step {k}"):
+            _require(ad, dict, f"shock at step {k}")
             extra = set(ad) - {"eps", "prob"}
             if extra:
                 raise ValidationError(
                     f"unknown shock fields {sorted(extra)} at step {k}")
-            shocks.append(ShockAtom(float(ad["eps"]), float(ad["prob"])))
+            where = f"in a shock at step {k}"
+            shocks.append(ShockAtom(_number(ad, "eps", where),
+                                    _number(ad, "prob", where)))
         if shocks:
             total = sum(at.prob for at in shocks)
             if abs(total - 1.0) > PROB_RENORM_TOL:
@@ -375,9 +413,9 @@ def model_from_dict(doc: dict) -> EvolutionModel:
                     f"shock probabilities sum to {total!r} at step {k}")
             if abs(total - 1.0) > PROB_SUM_TOL:
                 shocks = [ShockAtom(at.eps, at.prob / total) for at in shocks]
-        steps.append(StepSpec(float(sd["a"]), tuple(shocks),
+        steps.append(StepSpec(_number(sd, "a", f"at step {k}"), tuple(shocks),
                               _vol_from_dict(sd["vol"], k)))
-    model = EvolutionModel(float(doc["s0"]), tuple(steps),
+    model = EvolutionModel(_number(doc, "s0", "in the model"), tuple(steps),
                            pricing_only=pricing_only)
     require_valid(model)
     return model
@@ -406,12 +444,18 @@ def model_to_dict(model: EvolutionModel) -> dict:
     return doc
 
 
+def _reject_constant(name: str):
+    raise ValidationError(f"non-finite number {name} is not allowed")
+
+
 def load_model(path: str) -> EvolutionModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     try:
         return model_from_dict(doc)
     except ValidationError as exc:

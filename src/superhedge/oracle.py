@@ -45,7 +45,7 @@ def _payoff_fn(payoff):
 
 
 def exp(x: float) -> float:
-    # saturating exp, same convention as the tree kernels
+    # saturating exp, same convention as the tree engine
     try:
         return math.exp(x)
     except OverflowError:
@@ -154,8 +154,8 @@ def _selection_value(model: EvolutionModel, pairs, fn) -> float:
                 atoms.append(u)
                 eps_prev = eps_up
             if psi == 0.0:
-                # a zero-weight branch contributes nothing; the tree kernels
-                # skip it entirely, so do the same
+                # a zero-weight branch contributes nothing; the tree engine
+                # prunes it entirely, so do the same
                 break
             prob = prob * psi
             prices.append(price)

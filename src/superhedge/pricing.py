@@ -27,12 +27,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _tree_py
-from .backend import kernels
+from . import _engine, _tree_py
 from .errors import CapExceededError, ValidationError
-from .measures import (SELECTION_CAP, AtomPairSelection, _spot_walk,
-                       all_selections, selection_count, spot_expectation,
-                       spot_tree_value)
+from .measures import (SELECTION_CAP, AtomPairSelection, _atom_candidates,
+                       selection_count)
+from .measures import spot_tree_value  # noqa: F401  (public name here too)
 from .model import PATH_CAP, EvolutionModel, require_valid
 
 _PAYOFF_KINDS = ("const", "call", "put", "asian_call", "asian_put", "pwl",
@@ -208,45 +207,6 @@ class InfResult:
 
 # -- searches --------------------------------------------------------------
 
-def _scan_python(model: EvolutionModel, payoff: Payoff, dn_cands, up_cands,
-                 atoms_dn=None, atoms_up=None):
-    """Generic exhaustive scan, iteration order matching the kernels."""
-    import itertools
-
-    n = model.n_steps
-    per_step = [[(i, j) for i in range(len(dn_cands[st]))
-                 for j in range(len(up_cands[st]))] for st in range(n)]
-    best = -math.inf
-    best_pairs = None
-    for combo in itertools.product(*per_step):
-        eps_dn = [dn_cands[st][combo[st][0]] for st in range(n)]
-        eps_up = [up_cands[st][combo[st][1]] for st in range(n)]
-        if atoms_dn is not None:
-            sel_dn = [atoms_dn[st][combo[st][0]] for st in range(n)]
-            sel_up = [atoms_up[st][combo[st][1]] for st in range(n)]
-            fn = payoff.value
-            value = _spot_walk(model, eps_dn, eps_up,
-                               lambda p, ats: fn(p, ats), sel_dn, sel_up)
-        else:
-            value = spot_tree_value(model, eps_dn, eps_up, payoff)
-        if value > best:
-            best = value
-            best_pairs = combo
-    return best, [tuple(p) for p in best_pairs]
-
-
-def _run_scan(model: EvolutionModel, payoff: Payoff, dn_cands, up_cands,
-              atoms_dn=None, atoms_up=None):
-    enc = payoff.kernel_encoding(model.n_steps)
-    if enc is not None:
-        vk, vp = model.kernel_vol_arrays()
-        pkind, pa, pxs, pys = enc
-        return kernels.scan_selections(model.s0, [s.a for s in model.steps],
-                                       vk, vp, dn_cands, up_cands,
-                                       pkind, pa, pxs, pys)
-    return _scan_python(model, payoff, dn_cands, up_cands, atoms_dn, atoms_up)
-
-
 def _grid_candidates(model: EvolutionModel, config: SearchConfig):
     lo, hi = config.eps_range
     pts = [float(x) for x in np.linspace(lo, hi, config.grid_points)]
@@ -278,28 +238,28 @@ def _ascent(model: EvolutionModel, payoff: Payoff, dn_cands, up_cands,
 
     Sweeps update one step at a time; ties inside a sweep keep the incumbent,
     and candidate order (down ascending, up descending) starts each scan at
-    the largest |eps|, so ties resolve toward larger shocks.
+    the largest |eps|, so ties resolve toward larger shocks.  Every trial of
+    a sweep differs from the incumbent at that step only, so one scan over
+    the step's pairs, with the other steps held, evaluates the sweep.
     """
     n = model.n_steps
     state = [(0, 0)] * n
 
-    def eval_state(st_pairs):
-        eps_dn = [dn_cands[st][st_pairs[st][0]] for st in range(n)]
-        eps_up = [up_cands[st][st_pairs[st][1]] for st in range(n)]
-        return spot_tree_value(model, eps_dn, eps_up, payoff)
+    def held(st, cands, k):
+        return [cands[s] if s == st else [cands[s][state[s][k]]]
+                for s in range(n)]
 
-    best = eval_state(state)
+    best = float(_engine.values(model, [[c[0] for c in dn_cands]],
+                                [[c[0] for c in up_cands]], payoff)[0])
     for _ in range(config.max_rounds):
         round_start = best
         for st in range(n):
-            for i in range(len(dn_cands[st])):
-                for j in range(len(up_cands[st])):
-                    trial = list(state)
-                    trial[st] = (i, j)
-                    v = eval_state(trial)
-                    if v > best:
-                        best = v
-                        state = trial
+            v, pairs = _engine.scan(model, held(st, dn_cands, 0),
+                                    held(st, up_cands, 1), payoff)
+            if v > best:
+                best = v
+                state = list(state)
+                state[st] = pairs[st]
         if best - round_start <= config.tol:
             break
     return best, state
@@ -321,14 +281,9 @@ def superhedge_sup(model: EvolutionModel, payoff: Payoff,
             raise ValidationError("no strictly negative or no positive atom")
         if count > SELECTION_CAP:
             raise CapExceededError(f"{count} selections exceed cap")
-        atoms_dn = [list(model.strict_down_indices(k)) for k in range(1, n + 1)]
-        atoms_up = [list(model.up_indices(k)) for k in range(1, n + 1)]
-        dn_cands = [[model.steps[k].shocks[i].eps for i in atoms_dn[k]]
-                    for k in range(n)]
-        up_cands = [[model.steps[k].shocks[i].eps for i in atoms_up[k]]
-                    for k in range(n)]
-        value, pairs = _run_scan(model, payoff, dn_cands, up_cands,
-                                 atoms_dn, atoms_up)
+        atoms_dn, atoms_up, dn_cands, up_cands = _atom_candidates(model)
+        value, pairs = _engine.scan(model, dn_cands, up_cands, payoff,
+                                    atoms_dn, atoms_up)
         selection = AtomPairSelection(tuple(
             (atoms_dn[st][pairs[st][0]], atoms_up[st][pairs[st][1]])
             for st in range(n)))
@@ -346,7 +301,7 @@ def superhedge_sup(model: EvolutionModel, payoff: Payoff,
     gap = _grid_gap_bound(model, config)
 
     if config.mode == "grid" and combos <= SELECTION_CAP:
-        value, pairs = _run_scan(model, payoff, dn_cands, up_cands)
+        value, pairs = _engine.scan(model, dn_cands, up_cands, payoff)
         how = "exhaustive grid scan"
     else:
         value, pairs = _ascent(model, payoff, dn_cands, up_cands, config)
@@ -374,9 +329,9 @@ def superhedge_inf(model: EvolutionModel, payoff: Payoff,
     if config.mode == "discrete_exhaustive":
         if selection_count(model) > SELECTION_CAP:
             raise CapExceededError("selection count exceeds cap")
-        worst = math.inf
-        for sel in all_selections(model):
-            worst = min(worst, spot_expectation(model, sel, payoff))
+        atoms_dn, atoms_up, dn_cands, up_cands = _atom_candidates(model)
+        worst = _engine.scan_min(model, dn_cands, up_cands, payoff, atoms_dn,
+                                 atoms_up)
     else:
         if payoff.kind == "table":
             raise ValidationError("path-table payoffs require model atoms")
@@ -384,14 +339,7 @@ def superhedge_inf(model: EvolutionModel, payoff: Payoff,
         if (len(dn_cands[0]) * len(up_cands[0])) ** model.n_steps \
                 > SELECTION_CAP:
             raise CapExceededError("grid combination count exceeds cap")
-        import itertools
-        worst = math.inf
-        per_step = [[(d, u) for d in dn_cands[st] for u in up_cands[st]]
-                    for st in range(model.n_steps)]
-        for combo in itertools.product(*per_step):
-            eps_dn = [p[0] for p in combo]
-            eps_up = [p[1] for p in combo]
-            worst = min(worst, spot_tree_value(model, eps_dn, eps_up, payoff))
+        worst = _engine.scan_min(model, dn_cands, up_cands, payoff)
     return InfResult(worst, False,
                      "upper estimate of inf (non-convex payoff; minimum over "
                      "the searched spot measures)")

@@ -2,8 +2,8 @@
 
 Every test prints one `ACCEPTANCE <n> ...: PASS|FAIL` line (visible with
 `pytest tests/test_acceptance.py -s`; on failure pytest shows the captured
-line together with the offending cases).  The whole module is budgeted to
-run in well under five minutes with the compiled kernel backend.
+line together with the offending cases).  The whole module runs in about
+20 s with the numpy tree engine.
 """
 
 from fractions import Fraction

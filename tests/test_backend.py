@@ -1,125 +1,242 @@
-"""The compiled kernels must be bit-identical twins of the Python fallback."""
+"""The batched tree engine against the per-leaf oracle, bit for bit."""
 
 import math
 
+import numpy as np
 import pytest
 
-from superhedge import _tree_py
-from superhedge import Payoff, spot_expectation
-from superhedge.measures import _spot_walk, all_selections
+from superhedge import (EvolutionModel, Payoff, SearchConfig, ShockAtom,
+                        SpotMeasure, StepSpec, VolatilitySpec,
+                        brute_sup_selections, spot_expectation,
+                        superhedge_sup)
+from superhedge import _engine, _tree_py, measures, oracle, pricing
+from superhedge.measures import all_selections, spot_tree_value
+from superhedge.model import enumerate_paths
 
-from superhedge._rng import SplitMix64
 from _corpus import random_model
 
-try:
-    from superhedge import _tree_cy
-except ImportError:
-    _tree_cy = None
-
-needs_ext = pytest.mark.skipif(_tree_cy is None,
-                               reason="compiled extension not built")
+ALL_VOLS = ("constant", "arch1", "garch11")
+SEED_TWO_DOWNS = 15     # random_model(15) has two down atoms at step 1
 
 
-def random_inputs(seed):
-    rng = SplitMix64(seed)
-    n = 1 + rng.randint(4)
-    a = [rng.uniform_in(0.05, 1.0) for _ in range(n)]
-    vkinds, vparams = [], []
-    for _ in range(n):
-        kind = rng.randint(3)
-        vkinds.append(kind)
-        if kind == 0:
-            vparams.append((rng.uniform_in(0.2, 3.0), 0.0, 0.0, 0.0))
-        elif kind == 1:
-            vparams.append((rng.uniform_in(0.01, 0.09),
-                            rng.uniform_in(0.0, 0.5), 0.05, 0.0))
-        else:
-            vparams.append((rng.uniform_in(0.01, 0.09),
-                            rng.uniform_in(0.0, 0.5),
-                            rng.uniform_in(0.0, 0.4), 0.05))
-    eps_dn = [-rng.uniform_in(0.05, 2.5) for _ in range(n)]
-    eps_up = [rng.uniform_in(0.05, 2.5) for _ in range(n)]
-    s0 = rng.uniform_in(50.0, 150.0)
-    payoffs = [
-        (0, 2.5, [], []),
-        (1, s0, [], []),
-        (2, 1.2 * s0, [], []),
-        (3, 0.9 * s0, [], []),
-        (4, 1.1 * s0, [], []),
-        (5, 1.0, [0.0, 0.5 * s0, s0], [0.3 * s0, 0.1 * s0, 0.2 * s0]),
-    ]
-    return s0, a, vkinds, vparams, eps_dn, eps_up, payoffs
+def payoffs_for(m, table=True):
+    """Every payoff kind, a non-convex piecewise payoff, a plain callable
+    and a path table."""
+    s0 = m.s0
+    out = (Payoff.constant(2.5), Payoff.call(s0), Payoff.put(1.2 * s0),
+           Payoff.asian_call(0.9 * s0), Payoff.asian_put(1.1 * s0),
+           Payoff.piecewise_linear([(0.0, 0.3 * s0), (0.5 * s0, 0.1 * s0),
+                                    (s0, 0.2 * s0)], 1.0),
+           lambda prices: max(prices) - min(prices))
+    if table:
+        out += (Payoff.path_table({
+            idx.atoms: max(max(path.price_seq) - s0, 0.0)
+            for idx, path in enumerate_paths(m)}),)
+    return out
 
 
-@needs_ext
-class TestTwins:
-    def test_tree_expectation_bit_identical(self):
-        for seed in range(200):
-            s0, a, vk, vp, dn, up, payoffs = random_inputs(seed)
-            for pk in payoffs:
-                py = _tree_py.tree_expectation(s0, a, vk, vp, dn, up, *pk)
-                cy = _tree_cy.tree_expectation(s0, a, vk, vp, dn, up, *pk)
-                assert py == cy
+def oracle_value(m, sel, payoff):
+    return oracle._selection_value(m, sel.pairs, oracle._payoff_fn(payoff))
 
-    def test_scan_selections_bit_identical(self):
-        rng = SplitMix64(77)
+
+def constant_chain(s0, a_list, sigma, eps_dn, eps_up):
+    return EvolutionModel(s0, tuple(
+        StepSpec(a, (ShockAtom(eps_dn, 0.5), ShockAtom(eps_up, 0.5)),
+                 VolatilitySpec.constant(sigma)) for a in a_list))
+
+
+class TestEngineAgainstOracle:
+    def test_every_selection_and_payoff(self):
         for seed in range(40):
-            s0, a, vk, vp, _, _, payoffs = random_inputs(seed)
-            n = len(a)
-            dn_cands = [sorted(-rng.uniform_in(0.05, 2.5)
-                               for _ in range(1 + rng.randint(3)))
-                        for _ in range(n)]
-            up_cands = [sorted((rng.uniform_in(0.05, 2.5)
-                                for _ in range(1 + rng.randint(3))),
-                               reverse=True) for _ in range(n)]
-            for pk in payoffs:
-                py = _tree_py.scan_selections(s0, a, vk, vp, dn_cands,
-                                              up_cands, *pk)
-                cy = _tree_cy.scan_selections(s0, a, vk, vp, dn_cands,
-                                              up_cands, *pk)
-                assert py == cy
+            m = random_model(seed, vol_kinds=ALL_VOLS)
+            sels = list(all_selections(m))[:12]
+            for payoff in payoffs_for(m):
+                for sel in sels:
+                    assert spot_expectation(m, sel, payoff) \
+                        == oracle_value(m, sel, payoff)
 
-    def test_kernel_matches_generic_walk(self):
-        # one traversal order: encoded payoffs through the kernel must equal
-        # the Python walk that handles arbitrary callables
-        for seed in range(30):
-            m = random_model(seed)
-            sel = next(all_selections(m))
-            payoff = Payoff.call(m.s0)
-            via_kernel = spot_expectation(m, sel, payoff)
-            eps_dn = [m.steps[i].shocks[d].eps
-                      for i, (d, _) in enumerate(sel.pairs)]
-            eps_up = [m.steps[i].shocks[u].eps
-                      for i, (_, u) in enumerate(sel.pairs)]
-            via_walk = _spot_walk(m, eps_dn, eps_up,
-                                  lambda prices, atoms: payoff.value(prices))
-            assert via_kernel == via_walk
+    def test_exhaustive_sup(self):
+        config = SearchConfig()
+        for seed in range(40):
+            m = random_model(seed + 300, vol_kinds=ALL_VOLS)
+            for payoff in payoffs_for(m):
+                value, sel = brute_sup_selections(m, payoff)
+                res = superhedge_sup(m, payoff, config)
+                assert res.value == value
+                assert res.selection.pairs == sel.pairs
+
+    def test_batch_equals_single_trees(self):
+        m = random_model(7, n_max=4, vol_kinds=("garch11",))
+        sels = list(all_selections(m))
+        eps = [measures._selection_eps(m, s) for s in sels]
+        for payoff in payoffs_for(m)[:6]:
+            batch = _engine.values(m, [e[0] for e in eps],
+                                   [e[1] for e in eps], payoff)
+            for sel, v in zip(sels, batch.tolist()):
+                assert v == oracle_value(m, sel, payoff)
+
+    def test_first_selection_wins_ties(self):
+        m = random_model(11, vol_kinds=ALL_VOLS)
+        zero = Payoff.path_table({idx.atoms: 0.0
+                                  for idx, _ in enumerate_paths(m)})
+        res = superhedge_sup(m, zero, SearchConfig())
+        first = next(all_selections(m))
+        assert res.value == 0.0 and res.selection.pairs == first.pairs
+        assert brute_sup_selections(m, zero)[1].pairs == first.pairs
+
+    def test_nan_never_wins(self):
+        # every tree through the first down atom of step 1 is NaN
+        m = random_model(SEED_TWO_DOWNS, vol_kinds=ALL_VOLS)
+        first_down = m.strict_down_indices(1)[0]
+        table = Payoff.path_table({
+            idx.atoms: math.nan if idx.atoms[0] == first_down
+            else path.price_seq[-1] for idx, path in enumerate_paths(m)})
+        value, sel = brute_sup_selections(m, table)
+        res = superhedge_sup(m, table, SearchConfig())
+        assert res.value == value and res.selection.pairs == sel.pairs
+        assert not math.isnan(value)
+
+    def test_grid_scan_on_grid_atoms(self):
+        # a model whose shock atoms are the grid points: the grid scan and
+        # the exhaustive scan cover the same trees, so their maxima agree
+        config = SearchConfig(mode="grid", grid_points=9)
+        lo, hi = config.eps_range
+        pts = [float(x) for x in np.linspace(lo, hi, config.grid_points)
+               if x != 0.0]
+        atoms = tuple(ShockAtom(e, 1.0 / len(pts)) for e in pts)
+        for a_list in ((0.4,), (0.3, 0.7)):
+            m = EvolutionModel(100.0, tuple(
+                StepSpec(a, atoms, VolatilitySpec.constant(0.11))
+                for a in a_list))
+            for payoff in (Payoff.call(90.0), Payoff.asian_put(105.0)):
+                grid = superhedge_sup(m, payoff, config)
+                value, _ = brute_sup_selections(m, payoff)
+                assert grid.value == value
+                dn = [p[0] for p in grid.eps_pairs]
+                up = [p[1] for p in grid.eps_pairs]
+                assert spot_tree_value(m, dn, up, payoff) == value
+
+
+class TestChunking:
+    def test_small_chunks_change_nothing(self, monkeypatch):
+        m = random_model(3, n_max=4, vol_kinds=("garch11",))
+        while m.n_steps < 3:
+            m = random_model(m.n_steps * 7 + 1, n_max=4,
+                             vol_kinds=("garch11",))
+        atoms_dn, atoms_up, dn, up = measures._atom_candidates(m)
+        payoffs = (Payoff.asian_call(m.s0), payoffs_for(m)[-1])
+        whole = [list(_engine.scan_values(m, dn, up, p, atoms_dn, atoms_up))
+                 for p in payoffs]
+        for chunk in (1, 4, 2 ** m.n_steps, 3 * 2 ** m.n_steps):
+            monkeypatch.setattr(_engine, "CHUNK_LEAVES", chunk)
+            for p, ref in zip(payoffs, whole):
+                got = list(_engine.scan_values(m, dn, up, p, atoms_dn,
+                                               atoms_up))
+                assert np.array_equal(np.concatenate(got),
+                                      np.concatenate(ref))
+
+    def test_drift_table_equals_single_trees(self, monkeypatch):
+        for seed in range(10):
+            m = random_model(seed, vol_kinds=ALL_VOLS)
+            sels = list(all_selections(m))
+            table = [SpotMeasure(m, s).max_node_drift() for s in sels]
+            monkeypatch.setattr(measures, "DRIFT_TABLE_LEAVES", 0)
+            measures._drift_table.cache_clear()
+            single = [SpotMeasure(m, s).max_node_drift() for s in sels]
+            monkeypatch.undo()
+            measures._drift_table.cache_clear()
+            assert table == single
+
+
+class TestAscent:
+    def test_batched_sweeps_match_trial_by_trial(self):
+        config = SearchConfig(mode="coordinate_ascent", grid_points=9)
+        for seed, n in ((1, 2), (2, 3), (3, 3)):
+            m = constant_chain(100.0, [0.3 + 0.2 * i for i in range(n)],
+                               2.0 + 0.3 * seed, -0.7, 0.7)
+            dn, up = pricing._grid_candidates(m, config)
+            for payoff in (Payoff.call(80.0), Payoff.asian_put(110.0)):
+                assert pricing._ascent(m, payoff, dn, up, config) \
+                    == self._trial_by_trial(m, payoff, dn, up, config)
+
+    @staticmethod
+    def _trial_by_trial(m, payoff, dn, up, config):
+        n = m.n_steps
+        state = [(0, 0)] * n
+
+        def value(pairs):
+            return spot_tree_value(m, [dn[s][pairs[s][0]] for s in range(n)],
+                                   [up[s][pairs[s][1]] for s in range(n)],
+                                   payoff)
+
+        best = value(state)
+        for _ in range(config.max_rounds):
+            start = best
+            for st in range(n):
+                for i in range(len(dn[st])):
+                    for j in range(len(up[st])):
+                        trial = list(state)
+                        trial[st] = (i, j)
+                        v = value(trial)
+                        if v > best:
+                            best, state = v, trial
+            if best - start <= config.tol:
+                break
+        return best, state
 
 
 class TestSaturation:
-    """When e^{sigma*eps_up} exceeds double range both backends must use the
-    exact limit weights (1, 0): all mass flows down, nothing overflows."""
+    """When e^{sigma*eps_up} exceeds double range the engine uses the exact
+    limit weights (1, 0): all mass flows down, nothing overflows."""
 
     # sigma * eps_up = 800 saturates at every level
-    SAT = (100.0, [0.9] * 2, [0] * 2, [(100.0, 0.0, 0.0, 0.0)] * 2,
-           [-7.5] * 2, [8.0] * 2)
+    SAT = constant_chain(100.0, [0.9] * 2, 100.0, -7.5, 8.0)
     # GARCH blow-up with huge but finite weights
-    BIG = (100.0, [0.9] * 3, [2] * 3, [(0.09, 0.9, 0.4, 0.05)] * 3,
-           [-7.5] * 3, [8.0] * 3)
+    BIG = EvolutionModel(100.0, tuple(
+        StepSpec(0.9, (ShockAtom(-7.5, 0.5), ShockAtom(8.0, 0.5)),
+                 VolatilitySpec.garch11(0.09, 0.9, 0.4, 0.05))
+        for _ in range(3)))
 
     def test_limit_value_is_all_down_path(self):
-        value = _tree_py.tree_expectation(*self.SAT, 2, 150.0, [], [])
+        value = spot_tree_value(self.SAT, [-7.5] * 2, [8.0] * 2,
+                                Payoff.put(150.0))
         # e^{-750} underflows to 0, so each down factor is exactly 1 - a
         assert value == pytest.approx(150.0 - 100.0 * 0.1 ** 2, rel=1e-12)
 
-    @needs_ext
-    def test_backends_agree_at_extremes(self):
-        for args in (self.SAT, self.BIG):
-            for pk in ((1, 95.0, [], []), (2, 150.0, [], []),
-                       (4, 120.0, [], [])):
-                py = _tree_py.tree_expectation(*args, *pk)
-                cy = _tree_cy.tree_expectation(*args, *pk)
-                assert py == cy and math.isfinite(py)
+    def test_extremes_match_oracle(self):
+        for m in (self.SAT, self.BIG):
+            sel = next(all_selections(m))
+            for payoff in (Payoff.call(95.0), Payoff.put(150.0),
+                           Payoff.asian_put(120.0)):
+                v = spot_expectation(m, sel, payoff)
+                assert v == oracle_value(m, sel, payoff) and math.isfinite(v)
+
+    def test_degenerate_weights_raise_like_the_oracle(self):
+        # e^{sigma*eps} rounds to 1 on both branches: 0 / 0 weights
+        m = constant_chain(100.0, [0.5, 0.5], 1e-300, -0.7, 0.7)
+        sel = next(all_selections(m))
+        with pytest.raises(ZeroDivisionError):
+            oracle_value(m, sel, Payoff.call(90.0))
+        with pytest.raises(ZeroDivisionError):
+            spot_expectation(m, sel, Payoff.call(90.0))
+
+    @pytest.mark.parametrize("sigma", [40.0, 100.0, 1e308])
+    def test_saturating_sigma(self, sigma):
+        # sigma * eps_up >= 800: every up exponential saturates
+        m = constant_chain(100.0, [0.5, 0.8], sigma, -0.7, 20.0)
+        for payoff in payoffs_for(m, table=False):
+            for sel in all_selections(m):
+                v = spot_expectation(m, sel, payoff)
+                assert not math.isnan(v)
+                assert v == oracle_value(m, sel, payoff)
+            value, best = brute_sup_selections(m, payoff)
+            res = superhedge_sup(m, payoff, SearchConfig())
+            assert (res.value, res.selection.pairs) == (value, best.pairs)
+        if sigma == 1e308:
+            # every up weight is exactly 0: the all-down path carries all mass
+            assert spot_expectation(m, next(all_selections(m)),
+                                    Payoff.put(150.0)) \
+                == 150.0 - 100.0 * (1.0 - 0.5) * (1.0 - 0.8)
 
 
 class TestPayoffEvaluation:
@@ -144,3 +261,24 @@ class TestPayoffEvaluation:
             direct = _tree_py.payoff_value(code, pa, pxs, pys, prices[-1],
                                            path_sum, 3.0)
             assert payoff.value(prices) == direct
+
+    def test_coded_values_match_scalar(self):
+        x = np.array([0.0, 10.0, 49.9, 50.0, 75.0, 100.0, 130.0, math.inf])
+        psum = 3.0 * x + 1.0
+        encodings = [(k, 60.0, [], []) for k in range(5)]
+        encodings.append((5, 2.0, [0.0, 50.0, 100.0], [10.0, 0.0, 30.0]))
+        with np.errstate(all="ignore"):
+            for enc in encodings:
+                got = _engine._coded_values(enc, x, psum, 4.0)
+                want = [_tree_py.payoff_value(*enc, float(v), float(s), 4.0)
+                        for v, s in zip(x, psum)]
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_encoded_payoff_matches_callable(self):
+        # one traversal order: coded payoffs and callables agree bitwise
+        for seed in range(30):
+            m = random_model(seed, vol_kinds=ALL_VOLS)
+            sel = next(all_selections(m))
+            payoff = Payoff.call(m.s0)
+            assert spot_expectation(m, sel, payoff) == spot_expectation(
+                m, sel, lambda prices: payoff.value(prices))

@@ -75,6 +75,54 @@ class TestPrice:
                      "--strike", "30", "--method", "closed"]) == 1
         assert "a out of (0,1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"s0": NaN, "steps": []}', "non-finite number NaN"),
+        ('{"s0": 100.0, "steps": [{"a": 0.5, "vol": {"kind": "constant", '
+         '"sigma": Infinity}, "shocks": []}]}', "non-finite number Infinity"),
+        ('{"s0": 1e999, "steps": [{"a": 0.5, "vol": {"kind": "constant", '
+         '"sigma": 1.0}, "shocks": [{"eps": -0.7, "prob": 0.5}, '
+         '{"eps": 0.7, "prob": 0.5}]}]}', "s0 not finite"),
+        ('{"s0": 100.0, "steps": [{"a": 0.5, "vol": {"kind": "constant", '
+         '"sigma": 1e400}, "shocks": [{"eps": -0.7, "prob": 0.5}, '
+         '{"eps": 0.7, "prob": 0.5}]}]}', "sigma not finite"),
+        ('{"s0": 100.0, "steps": [{"a": 0.5, "vol": {"kind": "constant", '
+         '"sigma": 1.0}, "shocks": [{"prob": 0.5}, '
+         '{"eps": 0.7, "prob": 0.5}]}]}', "missing 'eps'"),
+        ('{"s0": 100.0, "steps": [{"a": 0.5, "vol": {"kind": "constant", '
+         '"sigma": 1.0}, "shocks": [{"eps": "x", "prob": 0.5}, '
+         '{"eps": 0.7, "prob": 0.5}]}]}', "'eps' in a shock at step 1"),
+        ('{"s0": 100.0, "steps": [{"a": 0.5, "vol": {"kind": "constant", '
+         '"sigma": 1.0}, "shocks": [{"eps": -0.7}, '
+         '{"eps": 0.7, "prob": 0.5}]}]}', "missing 'prob'"),
+        ('{"s0": 100.0, "steps": [{"a": [0.5], "vol": {"kind": "constant", '
+         '"sigma": 1.0}, "shocks": [{"eps": -0.7, "prob": 0.5}, '
+         '{"eps": 0.7, "prob": 0.5}]}]}', "'a' at step 1 is not a number"),
+        ('[1, 2]', "model must be a JSON object"),
+    ])
+    def test_malformed_model_exits_one(self, tmp_path, capsys, text,
+                                       message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for argv in (["price", "--model", str(path), "--payoff", "call",
+                      "--strike", "30", "--method", "grid"],
+                     ["verify", "--model", str(path)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert message in err
+            assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_unreadable_and_unwritable_files_exit_one(self, model_file,
+                                                      tmp_path, capsys):
+        for argv in (
+                ["price", "--model", str(tmp_path), "--payoff", "call",
+                 "--strike", "30", "--method", "closed"],
+                ["price", "--model", model_file, "--payoff", "call",
+                 "--strike", "30", "--method", "closed",
+                 "--out", str(tmp_path / "missing" / "r.json")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_unknown_flag_exits_one(self, model_file):
         with pytest.raises(SystemExit) as exc:
             main(["price", "--model", model_file, "--payoff", "call",

@@ -35,6 +35,26 @@ class TestValidation:
         m = EvolutionModel(100.0, (step(shocks=((-0.7, 0.5), (0.7, 0.6))),))
         assert any("probabilities" in v for v in validate_model(m))
 
+    def test_non_finite_values_rejected(self):
+        inf, nan = math.inf, math.nan
+        assert "s0 not finite" in validate_model(
+            EvolutionModel(inf, (step(),)))
+        assert "a not finite at step 1" in validate_model(
+            EvolutionModel(1.0, (step(a=nan),)))
+        assert "sigma not finite at step 1" in validate_model(
+            EvolutionModel(1.0, (step(sigma=inf),)))
+        assert "atom probability not finite at step 1" in validate_model(
+            EvolutionModel(1.0, (step(shocks=((-0.7, inf), (0.7, 0.5))),)))
+        for vol, bad in ((VolatilitySpec.arch1(nan, 0.1, 0.05), "omega0"),
+                         (VolatilitySpec.arch1(0.04, nan, 0.05), "alpha1"),
+                         (VolatilitySpec.garch11(0.04, 0.1, inf, 0.05),
+                          "beta1"),
+                         (VolatilitySpec.garch11(0.04, 0.1, 0.2, inf),
+                          "floor")):
+            m = EvolutionModel(1.0, (StepSpec(
+                0.5, (ShockAtom(-0.7, 0.5), ShockAtom(0.7, 0.5)), vol),))
+            assert f"{bad} not finite at step 1" in validate_model(m)
+
     def test_classification(self):
         assert EvolutionModel(1.0, (step(a=0.5),)).classification == "stable"
         assert EvolutionModel(1.0, (step(a=1.0),)).classification == "unstable"
