@@ -24,17 +24,16 @@ spell its path.  ``values`` evaluates trees given by explicit per-tree
 shocks.  ``scan``, ``scan_min`` and ``scan_values`` run over every
 combination of per-step candidate pairs in lexicographic order (step 0
 most significant, down candidate the major index within a step); rows
-that share a prefix share its nodes; ``combinations`` lists the shock
-rows of such a scan.  ``max_drifts`` gives each tree's largest relative
-one-step drift over its nodes.
+that share a prefix share its nodes.  ``max_drift`` gives one tree's
+largest relative one-step drift over its nodes.
 
 Results are bit-identical to a depth-first scalar walk (``oracle``
 re-derives them leaf by leaf) because:
 
 * every element goes through the same IEEE operations, in the same order,
   as in the scalar recursion;
-* leaves are summed by explicit left-to-right column adds in depth-first
-  order (``np.sum`` adds pairwise);
+* leaves are summed left to right in depth-first order, one add at a time
+  (column adds or ``np.add.accumulate``; ``np.sum`` adds pairwise);
 * pruned branches are masked with ``np.where``, so ``0 * inf`` never turns
   into NaN;
 * a maximum takes the first argmax, the strict ``>`` rule of a sequential
@@ -42,13 +41,16 @@ re-derives them leaf by leaf) because:
 * exponentials come from ``math.exp``, once per distinct argument
   (``np.exp`` differs from it in the last bit on some inputs).
 
-Work is cut into chunks of at most ``CHUNK_LEAVES`` leaves, so memory
-stays flat however many trees a scan covers; a single tree is never
-split, so one tree of ``2**N`` leaves holds its leaves at once.
+Work is cut into blocks of at most ``CHUNK_LEAVES`` leaves, so memory
+stays flat however many trees a scan covers and however deep a tree is: a
+tree with more leaves is grown whole down to the level whose nodes each
+root ``CHUNK_LEAVES`` leaves, and below it one node's subtree at a time,
+in depth-first order, adding into the same running sums.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterator
 
@@ -132,12 +134,13 @@ class _Model:
         self.code_dtype = np.int64 if math.prod(self.radix) < 2 ** 62 \
             else object
 
-    def atoms_of(self, code: int) -> tuple[int, ...]:
-        out = []
+    def atom_paths(self, codes: np.ndarray) -> list[tuple[int, ...]]:
+        """The atom index per step of each code."""
+        cols = []
         for r in reversed(self.radix):
-            code, atom = divmod(code, r)
-            out.append(atom)
-        return tuple(out[::-1])
+            codes, atom = np.divmod(codes, r)
+            cols.append(atom)
+        return list(map(tuple, np.stack(cols[::-1], axis=1).tolist()))
 
 
 class _Nodes:
@@ -162,9 +165,23 @@ class _Nodes:
     def rows(self) -> int:
         return self.price.shape[0]
 
+    @property
+    def width(self) -> int:
+        return self.price.shape[1]
+
     def take(self, lo: int, hi: int) -> "_Nodes":
+        """Rows ``lo:hi``."""
         def cut(x):
             return x if x is None or x.shape[0] == 1 else x[lo:hi]
+        return self._map(cut)
+
+    def cols(self, lo: int, hi: int) -> "_Nodes":
+        """Nodes ``lo:hi`` of every row."""
+        def cut(x):
+            return x if x is None or x.shape[1] == 1 else x[:, lo:hi]
+        return self._map(cut)
+
+    def _map(self, cut) -> "_Nodes":
         return _Nodes(cut(self.price), cut(self.prob), cut(self.psum),
                       cut(self.live), cut(self.sigma), cut(self.hist),
                       cut(self.atoms))
@@ -179,30 +196,34 @@ def _root(m: _Model, want_psum: bool, want_paths: bool,
                   np.zeros((1, 1), dtype=m.code_dtype) if with_atoms else None)
 
 
-def _exp(x: np.ndarray, saturate: bool = True) -> np.ndarray:
+def _exp(x: np.ndarray) -> np.ndarray:
     """``math.exp`` of every element of the 1-D ``x``, once per distinct
-    value.  With ``saturate`` an overflow gives inf (``_tree_py.exp``);
-    without, it raises OverflowError."""
+    value; an overflow gives inf (``_tree_py.exp``)."""
     inv = None
     if x.size > _FEW:
         x, inv = np.unique(x, return_inverse=True)
-    if saturate and (x > 709.0).any():     # math.exp is finite up to 709
-        out = np.array([_saturating_exp(v) for v in x.tolist()])
-    else:
-        out = np.fromiter(map(math.exp, x.tolist()), float, x.size)
+    args = x.tolist()
+    try:
+        out = np.fromiter(map(math.exp, args), float, len(args))
+    except OverflowError:
+        out = np.array([_saturating_exp(v) for v in args])
     return out if inv is None else out[inv.ravel()]
 
 
-def _sigma_step(kind: int, params, sigma_prev, eps_prev):
+def _sigma_step(kind: int, params, sigma_prev, x):
     """``_tree_py.sigma_next`` elementwise for ARCH/GARCH, same operation
-    order."""
-    x = sigma_prev * eps_prev
-    s2 = params[0] + params[1] * x * x
+    order, given ``x = sigma_prev * eps_prev``."""
+    s2 = params[1] * x
+    s2 *= x
+    s2 += params[0]
     if kind == 2:
-        s2 = s2 + params[2] * sigma_prev * sigma_prev
-    s = np.sqrt(s2)
+        g = params[2] * sigma_prev
+        g *= sigma_prev
+        s2 += g
+    np.sqrt(s2, out=s2)
     floor = params[2] if kind == 1 else params[3]
-    return np.where(s < floor, floor, s)
+    s2[s2 < floor] = floor
+    return s2
 
 
 class _Branch:
@@ -211,11 +232,11 @@ class _Branch:
 
     __slots__ = ("ed", "eu", "psi_d", "psi_u")
 
-    def __init__(self, nodes: _Nodes, eps_d, eps_u, saturate: bool = True):
+    def __init__(self, nodes: _Nodes, eps_d, eps_u):
         s = nodes.sigma[:, None, :]
         args_d = s * eps_d[:, :, None]
         args_u = s * eps_u[:, :, None]
-        e = _exp(np.concatenate((args_d.ravel(), args_u.ravel())), saturate)
+        e = _exp(np.concatenate((args_d.ravel(), args_u.ravel())))
         self.ed = ed = e[:args_d.size].reshape(args_d.shape)
         self.eu = eu = e[args_d.size:].reshape(args_u.shape)
         denom = eu - ed
@@ -283,9 +304,9 @@ def _grow(m: _Model, level: int, nodes: _Nodes, br: _Branch, eps_d, eps_u,
         if kind == 0:
             sigma = np.full((1, 1), params[0])
         else:
+            s = nodes.sigma[:, None, :, None]
             eps = np.stack((eps_d, eps_u), axis=-1)
-            sig = _sigma_step(kind, params, nodes.sigma[:, None, :, None],
-                              eps[:, :, None, :])
+            sig = _sigma_step(kind, params, s, s * eps[:, :, None, :])
             if sig.shape != shape + (2,):
                 sig = np.broadcast_to(sig, shape + (2,))
             sigma = sig.reshape(shape[0] * shape[1], shape[2] * 2)
@@ -317,9 +338,10 @@ class _Payoff:
         self.want_paths = self.enc is None
 
 
-def _leaf_values(m: _Model, pay: _Payoff, nodes: _Nodes) -> np.ndarray:
-    """Tree value of every row: its leaves' weight * payoff, summed left to
-    right in depth-first order."""
+def _leaf_values(m: _Model, pay: _Payoff, nodes: _Nodes,
+                 acc: np.ndarray | None = None) -> np.ndarray:
+    """Tree value of every row: its leaves' weight * payoff, added left to
+    right in depth-first order to ``acc`` (zeros when None)."""
     if pay.enc is not None:
         contrib = _coded_values(pay.enc, nodes.price, nodes.psum,
                                 float(m.n + 1))
@@ -328,9 +350,18 @@ def _leaf_values(m: _Model, pay: _Payoff, nodes: _Nodes) -> np.ndarray:
     contrib *= nodes.prob
     if nodes.live is not None:
         contrib[~nodes.live] = 0.0
-    acc = np.zeros(contrib.shape[0])
-    for k in range(contrib.shape[1]):
-        acc += contrib[:, k]
+    rows, cols = contrib.shape
+    if acc is None:
+        acc = np.zeros(rows)
+    # acc + c0 + c1 + ..., one add at a time: a numpy call per column for
+    # many short rows, a sequential accumulate along each of a few long ones
+    if rows >= cols:
+        for k in range(cols):
+            acc += contrib[:, k]
+    else:
+        contrib[:, 0] += acc
+        np.add.accumulate(contrib, axis=1, out=contrib)
+        acc[...] = contrib[:, -1]
     return acc
 
 
@@ -347,8 +378,8 @@ def _path_values(m: _Model, fn, nodes: _Nodes) -> np.ndarray:
     elif idx.size:
         codes, first, inv = np.unique(nodes.atoms.reshape(-1)[idx],
                                       return_index=True, return_inverse=True)
-        vals = [fn(tuple(h), m.atoms_of(c))
-                for h, c in zip(hist[idx[first]].tolist(), codes.tolist())]
+        vals = [fn(tuple(h), atoms) for h, atoms in
+                zip(hist[idx[first]].tolist(), m.atom_paths(codes))]
         out[idx] = np.array(vals, dtype=float)[inv.ravel()]
     return out.reshape(shape)
 
@@ -361,23 +392,44 @@ def _chunks(c: int, n: int) -> Iterator[tuple[int, int]]:
         yield lo, min(c, lo + step)
 
 
-def _levels(m: _Model, eps_dn, eps_up, atoms_dn, atoms_up, want_psum: bool,
-            want_paths: bool, saturate: bool = True, leaves: bool = True
-            ) -> Iterator[tuple[_Nodes, _Branch | None]]:
-    """Walk explicit trees (rows of ``eps_dn`` / ``eps_up``) down: yields
-    (nodes, branch) at each step, then, if ``leaves``, (leaves, None)."""
-    with_atoms = atoms_dn is not None and want_paths
-    nodes = _root(m, want_psum, want_paths, with_atoms)
-    for level in range(m.n):
-        eps_d, eps_u = eps_dn[:, level, None], eps_up[:, level, None]
-        br = _Branch(nodes, eps_d, eps_u, saturate)
-        yield nodes, br
-        if level + 1 == m.n and not leaves:
-            return
-        at_d = atoms_dn[:, level, None] if with_atoms else None
-        at_u = atoms_up[:, level, None] if with_atoms else None
-        nodes = _grow(m, level, nodes, br, eps_d, eps_u, at_d, at_u)
-    yield nodes, None
+def _split_level(n: int) -> int:
+    """The level whose nodes each root at most ``CHUNK_LEAVES`` leaves of
+    an ``n``-step tree (0 when the whole tree fits)."""
+    return max(0, n - (CHUNK_LEAVES.bit_length() - 1))
+
+
+def _leaf_blocks(m: _Model, nodes: _Nodes, grow) -> Iterator[_Nodes]:
+    """The leaves under the roots ``nodes``, grown by ``grow(nodes,
+    level)``, in depth-first blocks of at most ``CHUNK_LEAVES`` leaves.
+    Only a single tree (one row) can hold more."""
+    top = _split_level(m.n)
+    for level in range(top):
+        nodes = grow(nodes, level)
+    for j in range(nodes.width if top else 1):
+        block = nodes.cols(j, j + 1) if top else nodes
+        for level in range(top, m.n):
+            block = grow(block, level)
+        yield block
+
+
+def _tree_values(m: _Model, pay: _Payoff, eps_dn, eps_up, atoms_dn,
+                 atoms_up) -> np.ndarray:
+    with_atoms = atoms_dn is not None and pay.want_paths
+    out = np.zeros(eps_dn.shape[0])
+    for lo, hi in _chunks(eps_dn.shape[0], m.n):
+        def grow(nodes, level):
+            eps_d, eps_u = eps_dn[lo:hi, level, None], eps_up[lo:hi, level,
+                                                             None]
+            at_d = atoms_dn[lo:hi, level, None] if with_atoms else None
+            at_u = atoms_up[lo:hi, level, None] if with_atoms else None
+            return _grow(m, level, nodes, _Branch(nodes, eps_d, eps_u),
+                         eps_d, eps_u, at_d, at_u)
+
+        root = _root(m, pay.want_psum, pay.want_paths, with_atoms)
+        acc = out[lo:hi]
+        for leaves in _leaf_blocks(m, root, grow):
+            _leaf_values(m, pay, leaves, acc)
+    return out
 
 
 def _tree_rows(m: _Model, eps_dn, eps_up):
@@ -392,46 +444,120 @@ def values(model, eps_dn, eps_up, payoff, atoms_dn=None,
     step, and row ``c`` of ``atoms_dn`` / ``atoms_up`` the atom indices
     that path tables and callables receive."""
     m = _Model(model)
-    pay = _Payoff(payoff, m.n)
     eps_dn, eps_up = _tree_rows(m, eps_dn, eps_up)
     if atoms_dn is not None:
         atoms_dn = np.asarray(atoms_dn, dtype=np.int64).reshape(-1, m.n)
         atoms_up = np.asarray(atoms_up, dtype=np.int64).reshape(-1, m.n)
-    out = np.empty(eps_dn.shape[0])
     with np.errstate(all="ignore"):
-        for lo, hi in _chunks(eps_dn.shape[0], m.n):
-            for leaves, _ in _levels(
-                    m, eps_dn[lo:hi], eps_up[lo:hi],
-                    None if atoms_dn is None else atoms_dn[lo:hi],
-                    None if atoms_up is None else atoms_up[lo:hi],
-                    pay.want_psum, pay.want_paths):
-                pass                  # the last item holds the leaves
-            out[lo:hi] = _leaf_values(m, pay, leaves)
-    return out
+        return _tree_values(m, _Payoff(payoff, m.n), eps_dn, eps_up,
+                            atoms_dn, atoms_up)
 
 
-def max_drifts(model, eps_dn, eps_up) -> np.ndarray:
+def _drift_levels(m: _Model, pairs, level: int, stop: int, price, sigma):
+    """Grow one spot tree from the nodes of ``level`` (prices ``price``,
+    volatility ``sigma``, one value when shared) down to ``stop``: each
+    level's (prices, exponentials, their arguments), the last two shaped
+    ``[nodes | 1, 2]``, and the prices and volatilities of level ``stop``
+    (None at the leaves)."""
+    out = []
+    for level in range(level, stop):
+        args = sigma[:, None] * pairs[level]
+        e = _exp(args.ravel()).reshape(args.shape)
+        out.append((price, e, args))
+        if level + 1 == m.n:
+            return out, None, None
+        price = (price[:, None] * (1.0 + m.a[level] * (e - 1.0))).ravel()
+        kind, params = m.vkinds[level + 1], m.vparams[level + 1]
+        if kind == 0:
+            sigma = np.array([params[0]])
+        else:
+            sigma = _sigma_step(kind, params, sigma[:, None], args)
+            if sigma.size != price.size:
+                sigma = np.broadcast_to(sigma, (price.size // 2, 2))
+            sigma = sigma.ravel()
+    return out, price, sigma
+
+
+def _per_node(levels, k: int) -> np.ndarray:
+    """Field ``k`` of ``_drift_levels`` output, one row per node."""
+    return np.concatenate([x[k] if x[k].shape[0] == x[0].size
+                           else np.broadcast_to(x[k], (x[0].size, 2))
+                           for x in levels])
+
+
+def _first_in_walk(n: int, level: int, node: int) -> int:
+    """Position of node ``node`` of ``level`` in a depth-first pre-order
+    walk of the internal nodes of an ``n``-step tree."""
+    pos = level
+    for i in range(level):
+        if node >> (level - 1 - i) & 1:
+            pos += (1 << (n - 1 - i)) - 1
+    return pos
+
+
+def max_drift(model, eps_dn, eps_up) -> float:
     """Largest |conditional one-step drift| / node price over the nodes of
-    each tree: every node, pruned or not, and NaN ratios never win.  An
-    exponential that overflows raises OverflowError, as ``math.exp`` does."""
+    one spot tree (``eps_dn`` / ``eps_up``: its shock pair per step), every
+    node, pruned or not; NaN ratios never win.  A depth-first scalar walk
+    fails at its first failing node, and so does this: OverflowError where
+    ``math.exp`` overflows, ZeroDivisionError at a zero denominator or a
+    zero node price."""
     m = _Model(model)
-    eps_dn, eps_up = _tree_rows(m, eps_dn, eps_up)
-    worst = np.zeros(eps_dn.shape[0])
+    n = m.n
+    pairs = [np.array(p) for p in zip(eps_dn, eps_up)]
+    worst = 0.0
+    failure = None                   # (walk position, exception type)
+
+    def judge(level0, first, levels):
+        """Fold in the nodes ``levels`` of levels ``level0, ...``, the
+        first of them node ``first`` of ``level0``."""
+        nonlocal worst, failure
+        price = np.concatenate([x[0] for x in levels])
+        a = np.repeat(m.a[level0:level0 + len(levels)],
+                      [x[0].size for x in levels])
+        e = _per_node(levels, 1)
+        em1 = e - 1.0
+        denom = e[:, 1] - e[:, 0]
+        psi_d = em1[:, 1] / denom
+        psi_u = (1.0 - e[:, 0]) / denom
+        pa = price * a
+        drift = psi_d * (pa * em1[:, 0]) + psi_u * (pa * em1[:, 1])
+        ratio = np.abs(drift) / price
+        top = float(np.maximum.reduce(ratio))
+        if not math.isfinite(top):
+            # a failing node has a NaN or infinite ratio
+            top = float(np.fmax.reduce(ratio))
+            over = ((e == _INF) & (_per_node(levels, 2) < _INF)).any(axis=1)
+            bad = over | (denom == 0.0) | (price == 0.0)
+            lo = 0
+            for i, x in enumerate(levels):
+                hit = np.flatnonzero(bad[lo:lo + x[0].size])
+                if hit.size:
+                    j = int(hit[0])
+                    pos = _first_in_walk(n, level0 + i, (first << i) + j)
+                    if failure is None or pos < failure[0]:
+                        failure = (pos, OverflowError if over[lo + j]
+                                   else ZeroDivisionError)
+                lo += x[0].size
+        if top > worst:
+            worst = top
+
+    top = min(_split_level(n), n - 1)
+    price = np.array([m.s0])
+    sigma = np.array([sigma_initial(m.vkinds[0], m.vparams[0])])
     with np.errstate(all="ignore"):
-        for lo, hi in _chunks(eps_dn.shape[0], m.n):
-            part = worst[lo:hi]
-            levels = _levels(m, eps_dn[lo:hi], eps_up[lo:hi], None, None,
-                             False, False, saturate=False, leaves=False)
-            for level, (nodes, br) in enumerate(levels):
-                a = m.a[level]
-                price = nodes.price[:, None, :]
-                drift = br.psi_d * (price * a * (br.ed - 1.0)) \
-                    + br.psi_u * (price * a * (br.eu - 1.0))
-                ratio = np.abs(drift) / price
-                ratio = np.where(np.isnan(ratio), -_INF, ratio)
-                top = np.broadcast_to(ratio, (part.size,) + ratio.shape[1:])
-                top = top.reshape(part.size, -1).max(axis=1)
-                part[...] = np.where(top > part, top, part)
+        if top:
+            levels, price, sigma = _drift_levels(m, pairs, 0, top, price,
+                                                 sigma)
+            judge(0, 0, levels)
+        for j in range(price.size):
+            s = sigma[j:j + 1] if sigma.size > 1 else sigma
+            levels, _, _ = _drift_levels(m, pairs, top, n, price[j:j + 1], s)
+            judge(top, j, levels)
+    if failure is not None:
+        if failure[1] is OverflowError:
+            raise OverflowError("math range error")
+        raise ZeroDivisionError("float division by zero")
     return worst
 
 
@@ -466,17 +592,18 @@ class _Plan:
         return out[::-1]
 
 
-def combinations(dn_cands, up_cands) -> tuple[np.ndarray, np.ndarray]:
-    """The [C, N] (eps_dn, eps_up) rows of every candidate combination, in
-    scan order."""
-    plan = _Plan(dn_cands, up_cands, None, None)
-    flat = np.arange(math.prod(plan.pairs))
-    cols_d, cols_u = [], []
-    for st in range(len(plan.pairs) - 1, -1, -1):
-        flat, p = np.divmod(flat, plan.pairs[st])
-        cols_d.append(plan.eps_d[st][0][p])
-        cols_u.append(plan.eps_u[st][0][p])
-    return np.stack(cols_d[::-1], axis=1), np.stack(cols_u[::-1], axis=1)
+def _deep_scan(m: _Model, pay: _Payoff, plan: _Plan, with_atoms: bool
+               ) -> Iterator[np.ndarray]:
+    """``scan_values`` for trees of more than ``CHUNK_LEAVES`` leaves: one
+    tree at a time."""
+    with np.errstate(all="ignore"):
+        for combo in itertools.product(*map(range, plan.pairs)):
+            def row(per_step):
+                return np.array([[per_step[st][0, p]
+                                  for st, p in enumerate(combo)]])
+            yield _tree_values(m, pay, row(plan.eps_d), row(plan.eps_u),
+                               row(plan.at_d) if with_atoms else None,
+                               row(plan.at_u) if with_atoms else None)
 
 
 def scan_values(model, dn_cands, up_cands, payoff, atoms_dn=None,
@@ -486,12 +613,15 @@ def scan_values(model, dn_cands, up_cands, payoff, atoms_dn=None,
     m = _Model(model)
     pay = _Payoff(payoff, m.n)
     plan = _Plan(dn_cands, up_cands, atoms_dn, atoms_up)
+    with_atoms = atoms_dn is not None and pay.want_paths
     n = m.n
+    if 2 ** n > CHUNK_LEAVES:
+        yield from _deep_scan(m, pay, plan, with_atoms)
+        return
     below = [0] * (n + 1)      # leaves under one row at each level
     below[n] = 2 ** n
     for level in range(n - 1, -1, -1):
         below[level] = below[level + 1] * plan.pairs[level]
-    with_atoms = atoms_dn is not None and pay.want_paths
 
     def expand(nodes, level, lo=0, hi=None):
         sl = slice(lo, hi)

@@ -29,7 +29,6 @@ excluded from spot selections, where it would degenerate the tree).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,11 +44,6 @@ from .model import (PATH_CAP, EvolutionModel, StepSpec, enumerate_paths,
                     require_valid, sigma_at)
 
 SELECTION_CAP = 2_000_000
-# Sweeping max_node_drift over every selection of a model costs one engine
-# batch, not one walk per tree: the first request on a model whose
-# selections hold at most this many leaves in all computes the drifts of
-# all of them, and the table of the last such model is kept.
-DRIFT_TABLE_LEAVES = 1 << 17
 
 
 # -- spot measures --------------------------------------------------------
@@ -106,21 +100,6 @@ def _atom_candidates(model: EvolutionModel):
     up_cands = [[model.steps[k].shocks[i].eps for i in atoms_up[k]]
                 for k in range(n)]
     return atoms_dn, atoms_up, dn_cands, up_cands
-
-
-@functools.lru_cache(maxsize=1)
-def _drift_table(model: EvolutionModel):
-    """``max_node_drift`` of every selection, in ``all_selections`` order;
-    None when the selections hold too many leaves or one of their trees
-    raises (the requested tree is then evaluated alone)."""
-    if selection_count(model) << model.n_steps > DRIFT_TABLE_LEAVES:
-        return None
-    _, _, dn_cands, up_cands = _atom_candidates(model)
-    eps_dn, eps_up = _engine.combinations(dn_cands, up_cands)
-    try:
-        return _engine.max_drifts(model, eps_dn, eps_up)
-    except (OverflowError, ZeroDivisionError):
-        return None
 
 
 def psi_weights(model: EvolutionModel, history: Sequence[float],
@@ -180,21 +159,8 @@ class SpotMeasure:
 
     def max_node_drift(self) -> float:
         """Largest |conditional one-step drift| / node price over the tree."""
-        model = self.model
-        try:
-            table = _drift_table(model)
-        except TypeError:          # a model built from lists is unhashable
-            table = None
-        if table is not None:
-            flat = 0
-            for n, (d, u) in enumerate(self.selection.pairs, start=1):
-                downs = model.strict_down_indices(n)
-                ups = model.up_indices(n)
-                flat = (flat * len(downs) + downs.index(d)) * len(ups) \
-                    + ups.index(u)
-            return float(table[flat])
-        eps_dn, eps_up = _selection_eps(model, self.selection)
-        return float(_engine.max_drifts(model, [eps_dn], [eps_up])[0])
+        eps_dn, eps_up = _selection_eps(self.model, self.selection)
+        return _engine.max_drift(self.model, eps_dn, eps_up)
 
     def as_density(self) -> "MeasureDensity":
         """Express the spot measure as a density on the full space.

@@ -1,6 +1,7 @@
 """The batched tree engine against the per-leaf oracle, bit for bit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,47 @@ def constant_chain(s0, a_list, sigma, eps_dn, eps_up):
     return EvolutionModel(s0, tuple(
         StepSpec(a, (ShockAtom(eps_dn, 0.5), ShockAtom(eps_up, 0.5)),
                  VolatilitySpec.constant(sigma)) for a in a_list))
+
+
+def arch_chain(n):
+    return EvolutionModel(100.0, tuple(
+        StepSpec(0.3 + 0.02 * i, (ShockAtom(-0.4, 0.5), ShockAtom(0.3, 0.5)),
+                 VolatilitySpec.arch1(0.04, 0.3, 0.05)) for i in range(n)))
+
+
+def walk_drift(m, sel):
+    """max_node_drift by a depth-first scalar walk over every node."""
+    eps_dn, eps_up = measures._selection_eps(m, sel)
+    vk, vp = m.kernel_vol_arrays()
+    worst = 0.0
+
+    def rec(level, price, sigma_prev, eps_prev):
+        nonlocal worst
+        if level == m.n_steps:
+            return
+        sigma = (_tree_py.sigma_initial(vk[0], vp[0]) if level == 0 else
+                 _tree_py.sigma_next(vk[level], vp[level], sigma_prev,
+                                     eps_prev))
+        ed = math.exp(sigma * eps_dn[level])
+        eu = math.exp(sigma * eps_up[level])
+        psi_d = (eu - 1.0) / (eu - ed)
+        psi_u = (1.0 - ed) / (eu - ed)
+        a = m.steps[level].a
+        drift = psi_d * (price * a * (ed - 1.0)) \
+            + psi_u * (price * a * (eu - 1.0))
+        worst = max(worst, abs(drift) / price)
+        rec(level + 1, price * (1.0 + a * (ed - 1.0)), sigma, eps_dn[level])
+        rec(level + 1, price * (1.0 + a * (eu - 1.0)), sigma, eps_up[level])
+
+    rec(0, m.s0, 0.0, 0.0)
+    return worst
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
 
 
 class TestEngineAgainstOracle:
@@ -135,17 +177,111 @@ class TestChunking:
                 assert np.array_equal(np.concatenate(got),
                                       np.concatenate(ref))
 
-    def test_drift_table_equals_single_trees(self, monkeypatch):
-        for seed in range(10):
+    def test_small_chunks_split_deep_trees(self, monkeypatch):
+        m = random_model(3, n_max=5, vol_kinds=("arch1",))
+        while m.n_steps < 4:
+            m = random_model(m.n_steps * 7 + 1, n_max=5,
+                             vol_kinds=("arch1",))
+        sels = list(all_selections(m))[:6]
+        payoffs = (Payoff.asian_call(m.s0), payoffs_for(m)[-2],
+                   payoffs_for(m)[-1])
+
+        def results():
+            return ([spot_expectation(m, s, p) for s in sels
+                     for p in payoffs],
+                    [SpotMeasure(m, s).max_node_drift() for s in sels])
+
+        whole = results()
+        for chunk in (1, 2, 4, 2 ** m.n_steps - 1):
+            monkeypatch.setattr(_engine, "CHUNK_LEAVES", chunk)
+            assert results() == whole
+
+
+class TestDrift:
+    def test_matches_depth_first_walk(self):
+        for seed in range(20):
             m = random_model(seed, vol_kinds=ALL_VOLS)
-            sels = list(all_selections(m))
-            table = [SpotMeasure(m, s).max_node_drift() for s in sels]
-            monkeypatch.setattr(measures, "DRIFT_TABLE_LEAVES", 0)
-            measures._drift_table.cache_clear()
-            single = [SpotMeasure(m, s).max_node_drift() for s in sels]
-            monkeypatch.undo()
-            measures._drift_table.cache_clear()
-            assert table == single
+            for sel in list(all_selections(m))[:12]:
+                assert SpotMeasure(m, sel).max_node_drift() \
+                    == walk_drift(m, sel)
+
+    def test_failures_match_depth_first_walk(self):
+        cases = {
+            # e^{-800} underflows to 0: with a = 1 the down child's price
+            # is exactly 0
+            ZeroDivisionError: EvolutionModel(100.0, (
+                StepSpec(1.0, (ShockAtom(-8.0, 0.5), ShockAtom(1.0, 0.5)),
+                         VolatilitySpec.constant(100.0)),) * 2),
+            # e^{800} overflows at the root
+            OverflowError: constant_chain(100.0, [0.5], 100.0, -0.7, 8.0),
+        }
+        for exc, m in cases.items():
+            sel = next(all_selections(m))
+            assert outcome(walk_drift, m, sel) is exc
+            with pytest.raises(exc):
+                SpotMeasure(m, sel).max_node_drift()
+
+    def test_first_failure_in_walk_order_wins(self):
+        # the up child of the root overflows (sigma = 1001); the down
+        # child's down child, earlier in a depth-first walk but one level
+        # deeper, has price 0 (sigma = 50.2, e^{-1004} = 0, a = 1)
+        m = EvolutionModel(100.0, (
+            StepSpec(0.5, (ShockAtom(-0.5, 0.5), ShockAtom(100.0, 0.5)),
+                     VolatilitySpec.arch1(1.0, 0.1, 0.0)),
+            StepSpec(1.0, (ShockAtom(-20.0, 0.5), ShockAtom(1.0, 0.5)),
+                     VolatilitySpec.arch1(2500.0, 100.0, 0.0)),
+            StepSpec(0.5, (ShockAtom(-0.5, 0.5), ShockAtom(0.5, 0.5)),
+                     VolatilitySpec.constant(1.0))))
+        sel = next(all_selections(m))
+        assert outcome(walk_drift, m, sel) is ZeroDivisionError
+        with pytest.raises(ZeroDivisionError):
+            SpotMeasure(m, sel).max_node_drift()
+
+
+class TestDeepTrees:
+    """Trees with more than CHUNK_LEAVES leaves are split into subtrees."""
+
+    def test_matches_oracle(self):
+        m = arch_chain(16)
+        assert 2 ** m.n_steps > _engine.CHUNK_LEAVES
+        sel = next(all_selections(m))
+        spread = payoffs_for(m, table=False)[-1]
+        assert spot_expectation(m, sel, spread) \
+            == oracle_value(m, sel, spread)
+        call = Payoff.asian_call(m.s0)
+        assert spot_expectation(m, sel, call) \
+            == spot_expectation(m, sel, lambda prices: call.value(prices))
+        assert SpotMeasure(m, sel).max_node_drift() == walk_drift(m, sel)
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_stays_flat(self, monkeypatch):
+        # 2 and 16 subtrees of CHUNK_LEAVES leaves: a tree held whole would
+        # need 8 times the memory
+        bits = _engine.CHUNK_LEAVES.bit_length() - 1
+        spread = payoffs_for(arch_chain(1), table=False)[-1]
+        cases = [lambda m, s: spot_expectation(m, s, Payoff.call(m.s0)),
+                 lambda m, s: SpotMeasure(m, s).max_node_drift(),
+                 lambda m, s: spot_expectation(m, s, spread)]
+        for i, evaluate in enumerate(cases):
+            if i == 2:
+                # a callable runs once per leaf and tracemalloc slows each
+                # call down: use smaller subtrees
+                bits = 10
+                monkeypatch.setattr(_engine, "CHUNK_LEAVES", 1 << bits)
+            peaks = []
+            for n in (bits + 1, bits + 4):
+                m = arch_chain(n)
+                sel = next(all_selections(m))
+                peaks.append(self._peak(lambda: evaluate(m, sel)))
+            assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestAscent:
