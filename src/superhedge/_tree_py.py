@@ -1,9 +1,10 @@
 """Scalar helpers of the spot-tree recursion.
 
 The volatility recursion, the saturating exponential and the payoff codes,
-one value at a time.  ``model`` (path prices), ``Payoff.value`` and the
-mixture grids use them directly; the batched engine (``_engine``) applies
-the same formulas elementwise, in the same operation order.
+one value at a time.  ``model`` (path prices) and ``Payoff.value`` use them
+directly; the batched engine (``_engine``) and the history lattice
+(``measures.Lattice``) apply the same formulas elementwise, in the same
+operation order.
 
 Volatility kinds: 0 constant (params[0] = sigma), 1 ARCH(1)
 (omega0, alpha1, floor), 2 GARCH(1,1) (omega0, alpha1, beta1, floor).

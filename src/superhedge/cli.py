@@ -10,14 +10,13 @@ human-readable summary.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import estimation, measures, oracle, pricing, reports
 from .decomposition import (export_decomposition, optional_decompose,
                             surface_from_nodes)
 from .errors import CapExceededError, ValidationError
-from .model import load_model
+from .model import _number, _require, load_json, load_model
 from .pricing import Payoff, SearchConfig
 
 _PAYOFFS = ("call", "put", "asian_call", "asian_put")
@@ -193,17 +192,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_decompose(args) -> int:
     model = load_model(args.model)
-    with open(args.surface, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{args.surface}: not valid JSON ({exc})")
+    doc = _require(load_json(args.surface), dict, "surface")
     extra = set(doc) - {"floor", "nodes"}
     if extra:
         raise ValidationError(f"unknown surface fields {sorted(extra)}")
     if "floor" not in doc or "nodes" not in doc:
         raise ValidationError("surface file needs 'floor' and 'nodes'")
-    surface = surface_from_nodes(model, float(doc["floor"]), doc["nodes"])
+    surface = surface_from_nodes(
+        model, _number(doc, "floor", "in the surface"), doc["nodes"])
     dec = optional_decompose(model, surface)
     max_g = max(float(g.max()) for g in dec.g)
     print(f"decomposed {model.n_steps}-step surface: f0 = "

@@ -22,15 +22,18 @@ certifies that the surface is not a supermartingale for the whole family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import _engine
 from .errors import ValidationError
-from .measures import MeasureDensity, _price_grids, _sigma_grids, _unflatten, \
-    verify_martingale
-from .model import EvolutionModel, require_valid
+from .measures import (Lattice, MeasureDensity, history_at, history_index,
+                       verify_martingale)
+from .model import EvolutionModel, _number, _require, require_valid
 
 RATIO_TOL_DEFAULT = 1e-10
 _SHIFT_PAD = 1e-3
@@ -50,16 +53,13 @@ class SupermartingaleSurface:
                     floor: float | None = None) -> "SupermartingaleSurface":
         values = tuple(np.asarray(v, dtype=float).ravel() for v in values)
         counts = model.atom_counts()
-        expected = 1
         if len(values) != model.n_steps + 1:
             raise ValidationError("surface needs one level per step plus root")
         for n, level in enumerate(values):
-            if level.size != expected:
+            if level.size != math.prod(counts[:n]):
                 raise ValidationError(
                     f"surface level {n} has {level.size} nodes, "
-                    f"expected {expected}")
-            if n < model.n_steps:
-                expected *= counts[n]
+                    f"expected {math.prod(counts[:n])}")
         vmin = min(float(v.min()) for v in values)
         if floor is not None:
             if not floor > 0 or vmin < floor:
@@ -79,36 +79,28 @@ class SupermartingaleSurface:
     def from_price_function(model: EvolutionModel,
                             fn: Callable[[tuple[float, ...]], float]
                             ) -> "SupermartingaleSurface":
-        """Build a surface by evaluating fn on every price prefix."""
-        sigmas = _sigma_grids(model)
-        prices = _price_grids(model, sigmas)
-        counts = model.atom_counts()
+        """Build a surface by evaluating fn on every price prefix
+        (S_0, ..., S_n), level by level, in row-major order."""
+        lattice = Lattice(model)
+        prices, counts = lattice.price, lattice.counts
+        block = _engine.CHUNK_LEAVES
         levels = []
-        for n in range(model.n_steps + 1):
-            vals = np.empty(prices[n].size)
-            for h in range(prices[n].size):
-                prefix = _price_prefix(prices, counts, n, h)
-                vals[h] = fn(prefix)
+        for n, level in enumerate(prices):
+            vals = np.empty(level.size)
+            for lo in range(0, level.size, block):
+                # the price paths of a block of prefixes, one list per step
+                rows = np.arange(lo, min(level.size, lo + block))
+                cols = [level[rows].tolist()]
+                for lvl in range(n, 0, -1):
+                    rows //= counts[lvl - 1]
+                    cols.append(prices[lvl - 1][rows].tolist())
+                vals[lo:lo + rows.size] = [fn(p) for p in zip(*cols[::-1])]
             levels.append(vals)
         return SupermartingaleSurface.from_values(model, levels)
 
     def value(self, history_atoms: Sequence[int]) -> float:
-        counts = self.model.atom_counts()
-        flat = 0
-        for i, j in enumerate(history_atoms):
-            flat = flat * counts[i] + j
+        flat = history_index(self.model.atom_counts(), history_atoms)
         return float(self.values[len(history_atoms)][flat])
-
-
-def _price_prefix(prices, counts, n, flat):
-    """Price path S_0..S_n leading to flat node index at level n."""
-    out = [0.0] * (n + 1)
-    h = flat
-    for lvl in range(n, 0, -1):
-        out[lvl] = float(prices[lvl][h])
-        h //= counts[lvl - 1]
-    out[0] = float(prices[0][0])
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -147,18 +139,6 @@ class DecompositionReport:
         return not self.failures
 
 
-def _delta_grids(model: EvolutionModel) -> list[np.ndarray]:
-    """Signed one-step price increments dS_{n+1} per (prefix, atom)."""
-    sigmas = _sigma_grids(model)
-    prices = _price_grids(model, sigmas)
-    out = []
-    for n, step in enumerate(model.steps):
-        eps = np.array([at.eps for at in step.shocks])
-        out.append(prices[n][:, None] * step.a
-                   * (np.exp(np.outer(sigmas[n], eps)) - 1.0))
-    return out
-
-
 def gamma_step(model: EvolutionModel, surface: SupermartingaleSurface,
                n: int, history_atoms: Sequence[int]) -> float:
     """inf over strictly-down atoms of (1 - f_n/f_{n-1}) / dS_n^-."""
@@ -170,32 +150,50 @@ def gamma_step(model: EvolutionModel, surface: SupermartingaleSurface,
     if not downs:
         raise ValidationError(f"step {n} has no strictly-down atom")
     counts = model.atom_counts()
-    flat = 0
-    for i, j in enumerate(history_atoms):
-        flat = flat * counts[i] + j
-    deltas = _delta_grids(model)[n - 1]
+    flat = history_index(counts, history_atoms)
+    delta = Lattice(model).delta(n - 1)[flat]
     f_prev = surface.values[n - 1][flat]
     best = np.inf
     for j in downs:
         ratio = surface.values[n][flat * counts[n - 1] + j] / f_prev
-        best = min(best, (1.0 - ratio) / (-deltas[flat, j]))
+        best = min(best, (1.0 - ratio) / (-delta[j]))
     return float(best)
 
 
-def _gamma_grids(model: EvolutionModel, surface: SupermartingaleSurface,
-                 deltas: list[np.ndarray]) -> list[np.ndarray]:
-    grids = []
-    counts = model.atom_counts()
+def _ratio_bound(model: EvolutionModel, surface: SupermartingaleSurface,
+                 tol: float) -> tuple[list[np.ndarray], list[np.ndarray],
+                                      RatioBoundReport]:
+    """gamma and xi0 of every step, and the ratio-bound report."""
+    require_valid(model)
+    lattice = Lattice(model)
+    counts = lattice.counts
+    gammas, xi0 = [], []
+    worst = 0.0
+    failures = []
     for n in range(model.n_steps):
         downs = list(model.strict_down_indices(n + 1))
         if not downs:
             raise ValidationError(f"step {n + 1} has no strictly-down atom")
+        xi = lattice.delta(n)
         f_prev = surface.values[n]
         f_next = surface.values[n + 1].reshape(-1, counts[n])
-        ratios = f_next[:, downs] / f_prev[:, None]
-        candidates = (1.0 - ratios) / (-deltas[n][:, downs])
-        grids.append(candidates.min(axis=1))
-    return grids
+        ratios = f_next / f_prev[:, None]
+        # column by column and in place, so no grid of the level is held
+        # twice: gamma, xi0 = 1 + gamma dS, (ratio - xi0) / max(1, f_{n-1})
+        gamma = reduce(np.minimum, ((1.0 - ratios[:, j]) / -xi[:, j]
+                                    for j in downs))
+        xi *= gamma[:, None]
+        xi += 1.0
+        excess = ratios
+        excess -= xi
+        excess /= np.maximum(1.0, f_prev)[:, None]
+        worst = max(worst, float(excess.max()))
+        for h, j in zip(*np.nonzero(excess > tol)):
+            failures.append((n + 1, history_at(counts, n, h), int(j),
+                             float(excess[h, j])))
+        gammas.append(gamma)
+        xi0.append(xi)
+    return gammas, xi0, RatioBoundReport(tol, worst, failures)
 
 
 def check_ratio_bound(model: EvolutionModel, surface: SupermartingaleSurface,
@@ -205,30 +203,13 @@ def check_ratio_bound(model: EvolutionModel, surface: SupermartingaleSurface,
     The per-node allowance is tol * max(1, f_{n-1}); a failure means the
     surface is not a supermartingale for the whole measure family.
     """
-    require_valid(model)
-    counts = model.atom_counts()
-    deltas = _delta_grids(model)
-    gammas = _gamma_grids(model, surface, deltas)
-    worst = 0.0
-    failures = []
-    for n in range(model.n_steps):
-        f_prev = surface.values[n]
-        f_next = surface.values[n + 1].reshape(-1, counts[n])
-        ratios = f_next / f_prev[:, None]
-        rhs = 1.0 + gammas[n][:, None] * deltas[n]
-        scale = np.maximum(1.0, f_prev)[:, None]
-        excess = (ratios - rhs) / scale
-        worst = max(worst, float(excess.max()))
-        for h, j in zip(*np.nonzero(excess > tol)):
-            failures.append((n + 1, _unflatten(int(h), counts, n), int(j),
-                             float(excess[h, j])))
-    return RatioBoundReport(tol, worst, failures)
+    return _ratio_bound(model, surface, tol)[2]
 
 
 def optional_decompose(model: EvolutionModel,
                        surface: SupermartingaleSurface) -> Decomposition:
     """Split the surface into a family-wide martingale minus consumption."""
-    report = check_ratio_bound(model, surface)
+    gammas, xi0, report = _ratio_bound(model, surface, RATIO_TOL_DEFAULT)
     if not report.passed:
         first = report.failures[0]
         exc = ValidationError(
@@ -238,18 +219,12 @@ def optional_decompose(model: EvolutionModel,
         exc.report = report
         raise exc
     counts = model.atom_counts()
-    deltas = _delta_grids(model)
-    gammas = _gamma_grids(model, surface, deltas)
-    xi0, g, M = [], [], [np.array([float(surface.values[0][0])])]
-    for n in range(model.n_steps):
-        xi = 1.0 + gammas[n][:, None] * deltas[n]
+    g, M = [], [np.array([float(surface.values[0][0])])]
+    for n, xi in enumerate(xi0):
         f_prev = surface.values[n]
         f_next = surface.values[n + 1].reshape(-1, counts[n])
-        g_n = -f_next + f_prev[:, None] * xi
-        m_next = M[n][:, None] + f_prev[:, None] * (xi - 1.0)
-        xi0.append(xi)
-        g.append(g_n)
-        M.append(m_next.ravel())
+        g.append(-f_next + f_prev[:, None] * xi)
+        M.append((M[n][:, None] + f_prev[:, None] * (xi - 1.0)).ravel())
     return Decomposition(model, tuple(gammas), tuple(xi0), tuple(g), tuple(M))
 
 
@@ -296,7 +271,7 @@ def verify_decomposition(model: EvolutionModel,
                 h = int(resid.argmax())
                 failures.append(
                     f"martingale residual {worst:.3e} under density {qi} at "
-                    f"step {n + 1}, history {_unflatten(h, counts, n)}")
+                    f"step {n + 1}, history {history_at(counts, n, h)}")
     return DecompositionReport(tol, max_g, max_rec, max_mart, len(densities),
                                failures)
 
@@ -305,30 +280,37 @@ def surface_from_nodes(model: EvolutionModel, floor: float,
                        nodes: Sequence[Mapping]) -> SupermartingaleSurface:
     """Assemble a surface from {"history": [...], "value": v} records.
 
-    Every prefix must be present exactly once; nothing is interpolated.
+    Every prefix must be present exactly once, with a finite value; nothing
+    is interpolated.
     """
+    if not math.isfinite(floor):
+        raise ValidationError(f"surface floor {floor!r} is not finite")
     counts = model.atom_counts()
-    levels = [np.full(int(np.prod(counts[:n], initial=1)), np.nan)
+    levels = [np.full(math.prod(counts[:n]), np.nan)
               for n in range(model.n_steps + 1)]
-    for node in nodes:
+    for node in _require(nodes, list, "'nodes'"):
+        _require(node, dict, "surface node")
         extra = set(node) - {"history", "value"}
         if extra:
             raise ValidationError(f"unknown surface node fields {sorted(extra)}")
-        hist = tuple(int(j) for j in node.get("history", ()))
-        if len(hist) > model.n_steps:
-            raise ValidationError(f"history {hist} longer than the horizon")
-        flat = 0
-        for i, j in enumerate(hist):
-            if not 0 <= j < counts[i]:
-                raise ValidationError(f"history {hist} has invalid atom index")
-            flat = flat * counts[i] + j
+        hist = _require(node.get("history", []), list, "surface node history")
+        if not all(isinstance(j, int) for j in hist):
+            raise ValidationError(f"surface node history {hist!r} is not a "
+                                  "list of atom indices")
+        hist = tuple(hist)
+        flat = history_index(counts, hist)
+        value = _number(node, "value", f"in the surface node for history "
+                                       f"{list(hist)}")
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"surface value for history {list(hist)} is not finite")
         if not np.isnan(levels[len(hist)][flat]):
             raise ValidationError(f"duplicate surface node for history {hist}")
-        levels[len(hist)][flat] = float(node["value"])
+        levels[len(hist)][flat] = value
     for n, level in enumerate(levels):
         missing = np.nonzero(np.isnan(level))[0]
         if missing.size:
-            hist = _unflatten(int(missing[0]), counts, n)
+            hist = history_at(counts, n, missing[0])
             raise ValidationError(f"surface is missing history {list(hist)}")
     return SupermartingaleSurface.from_values(model, levels, floor=floor)
 
@@ -339,7 +321,7 @@ def export_decomposition(dec: Decomposition) -> list[dict]:
     out = []
     for n in range(dec.model.n_steps + 1):
         for h in range(dec.M[n].size):
-            rec: dict = {"history": list(_unflatten(h, counts, n))}
+            rec: dict = {"history": list(history_at(counts, n, h))}
             if n < dec.model.n_steps:
                 rec["gamma"] = float(dec.gamma[n][h])
                 rec["atoms"] = [{"xi0": float(dec.xi0[n][h, j]),

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,6 +46,82 @@ from .model import (PATH_CAP, EvolutionModel, StepSpec, enumerate_paths,
                     require_valid, sigma_at)
 
 SELECTION_CAP = 2_000_000
+
+
+# -- the history lattice ----------------------------------------------------
+
+def history_index(counts: Sequence[int], history: Sequence[int]) -> int:
+    """Row-major index of a history prefix (atom indices, step 1 most
+    significant) among the prefixes of its length; ``counts`` are the
+    atom counts per step."""
+    if len(history) > len(counts):
+        raise ValidationError(f"history {tuple(history)} longer than the horizon")
+    flat = 0
+    for c, j in zip(counts, history):
+        if not 0 <= j < c:
+            raise ValidationError(
+                f"history {tuple(history)} has invalid atom index")
+        flat = flat * c + j
+    return flat
+
+
+def history_at(counts: Sequence[int], n: int, flat: int) -> tuple[int, ...]:
+    """The length-``n`` history prefix at row-major index ``flat``: the
+    inverse of ``history_index``."""
+    flat = int(flat)
+    out = []
+    for c in reversed(counts[:n]):
+        flat, j = divmod(flat, c)
+        out.append(j)
+    return tuple(reversed(out))
+
+
+class Lattice:
+    """The tree of history prefixes on which densities, expectations and
+    the decomposition live, one row-major level per prefix length:
+    ``sigma[n]`` (step n + 1's volatility, bit for bit ``sigma_at``),
+    ``price[n]`` (S_n), and per (prefix, atom) ``exp(n)`` (e^{sigma eps},
+    not kept) and ``delta(n)`` (dS_{n+1}), each built in the buffer of its
+    exponentials so that a level's grid is held once."""
+
+    def __init__(self, model: EvolutionModel):
+        self.model = model
+        self.counts = model.atom_counts()
+        self.eps = [np.array([at.eps for at in s.shocks]) for s in model.steps]
+        vol = model.steps[0].vol
+        sigma = [np.array([_tree_py.sigma_initial(vol.kind_code, vol.params4)])]
+        for n in range(1, model.n_steps):
+            vol = model.steps[n].vol
+            prev = sigma[-1][:, None]
+            if vol.kind == "constant":
+                sigma.append(np.full(prev.size * self.counts[n - 1], vol.sigma))
+            else:
+                sigma.append(_engine._sigma_step(
+                    vol.kind_code, vol.params4, prev,
+                    prev * self.eps[n - 1]).ravel())
+        self.sigma = sigma
+
+    def exp(self, n: int) -> np.ndarray:
+        x = np.outer(self.sigma[n], self.eps[n])
+        return np.exp(x, out=x)
+
+    @cached_property
+    def price(self) -> list[np.ndarray]:
+        prices = [np.array([self.model.s0])]
+        for n, step in enumerate(self.model.steps):
+            f = self.exp(n)               # S * (1 + a * (e - 1))
+            f -= 1.0
+            f *= step.a
+            f += 1.0
+            f *= prices[-1][:, None]
+            prices.append(f.ravel())
+        return prices
+
+    def delta(self, n: int) -> np.ndarray:
+        d = self.exp(n)                   # (S * a) * (e - 1)
+        d -= 1.0
+        d *= self.price[n][:, None] * self.model.steps[n].a
+        return d
 
 
 # -- spot measures --------------------------------------------------------
@@ -169,15 +247,13 @@ class SpotMeasure:
         equivalence check while passing normalization and drift.
         """
         model = self.model
-        sigmas = _sigma_grids(model)
+        lattice = Lattice(model)
         psi = []
         for n, step in enumerate(model.steps):
             d, u = self.selection.pairs[n]
-            h_count = sigmas[n].shape[0]
-            out = np.zeros((h_count, len(step.shocks)))
-            sig = sigmas[n]
-            ed = np.exp(sig * step.shocks[d].eps)
-            eu = np.exp(sig * step.shocks[u].eps)
+            e = lattice.exp(n)
+            out = np.zeros(e.shape)
+            ed, eu = e[:, d], e[:, u]
             denom = eu - ed
             out[:, d] = (eu - 1.0) / denom / step.shocks[d].prob
             out[:, u] = (1.0 - ed) / denom / step.shocks[u].prob
@@ -285,47 +361,6 @@ def alpha_from_partition(step: StepSpec, down_blocks: Sequence[Sequence[int]],
 
 # -- mixture densities ----------------------------------------------------
 
-def _sigma_grids(model: EvolutionModel) -> list[np.ndarray]:
-    """Realized volatility per step over all history prefixes (row-major)."""
-    vol = model.steps[0].vol
-    grids = [np.array([_tree_py.sigma_initial(vol.kind_code, vol.params4)])]
-    for n in range(1, model.n_steps):
-        eps_prev = np.array([at.eps for at in model.steps[n - 1].shocks])
-        prev = np.repeat(grids[-1], eps_prev.size)
-        eps = np.tile(eps_prev, grids[-1].size)
-        vol = model.steps[n].vol
-        if vol.kind == "constant":
-            cur = np.full(prev.size, vol.sigma)
-        else:
-            s2 = vol.omega0 + vol.alpha1 * (prev * eps) ** 2
-            if vol.kind == "garch11":
-                s2 = s2 + vol.beta1 * prev ** 2
-            cur = np.maximum(vol.floor, np.sqrt(s2))
-        grids.append(cur)
-    return grids
-
-
-def _price_grids(model: EvolutionModel,
-                 sigmas: list[np.ndarray]) -> list[np.ndarray]:
-    """Prices S_n over history prefixes of length n, n = 0..N (row-major)."""
-    prices = [np.array([model.s0])]
-    for n, step in enumerate(model.steps):
-        eps = np.array([at.eps for at in step.shocks])
-        factors = 1.0 + step.a * (np.exp(np.outer(sigmas[n], eps)) - 1.0)
-        prices.append((prices[-1][:, None] * factors).ravel())
-    return prices
-
-
-def _density_cells(model: EvolutionModel) -> int:
-    counts = model.atom_counts()
-    h = 1
-    cells = 0
-    for c in counts:
-        cells += h * c
-        h *= c
-    return cells
-
-
 @dataclass(frozen=True)
 class MeasureDensity:
     """Density psi per (step, history prefix, atom), history row-major."""
@@ -335,10 +370,7 @@ class MeasureDensity:
 
     def value(self, n: int, history_atoms: Sequence[int], atom: int) -> float:
         """psi at step n (1-based) for a history given by atom indices."""
-        counts = self.model.atom_counts()
-        flat = 0
-        for i, j in enumerate(history_atoms):
-            flat = flat * counts[i] + j
+        flat = history_index(self.model.atom_counts(), history_atoms)
         return float(self.psi[n - 1][flat, atom])
 
     @property
@@ -354,17 +386,18 @@ def mixture_density(model: EvolutionModel,
     """Density of the martingale measure induced by per-step alpha weights."""
     require_valid(model)
     validate_alpha(model, alphas)
-    if _density_cells(model) > PATH_CAP:
+    # one cell per (prefix, atom): the prefixes of lengths 1..N
+    if sum(itertools.accumulate(model.atom_counts(), operator.mul)) > PATH_CAP:
         raise CapExceededError("density storage exceeds the path cap")
-    sigmas = _sigma_grids(model)
+    lattice = Lattice(model)
     psi: list[np.ndarray] = []
     for n, step in enumerate(model.steps):
         sa = alphas.steps[n]
-        eps = np.array([at.eps for at in step.shocks])
         probs = np.array([at.prob for at in step.shocks])
-        sig = sigmas[n][:, None]
-        e_dn = np.exp(sig * eps[list(sa.down_atoms)])  # (H, D)
-        e_up = np.exp(sig * eps[list(sa.up_atoms)])    # (H, U)
+        e = lattice.exp(n)
+        e_dn = e[:, list(sa.down_atoms)]               # (H, D)
+        e_up = e[:, list(sa.up_atoms)]                 # (H, U)
+        del e
         denom = e_up[:, None, :] - e_dn[:, :, None]    # (H, D, U)
         if np.any(denom <= 0.0):
             raise ValidationError(
@@ -374,7 +407,7 @@ def mixture_density(model: EvolutionModel,
         w = np.asarray(sa.weights, dtype=float)
         pd = probs[list(sa.down_atoms)]
         pu = probs[list(sa.up_atoms)]
-        out = np.zeros((sig.shape[0], eps.size))
+        out = np.zeros((e_dn.shape[0], len(step.shocks)))
         out[:, list(sa.down_atoms)] = np.einsum("u,du,hdu->hd", pu, w, r_plus)
         out[:, list(sa.up_atoms)] = np.einsum("d,du,hdu->hu", pd, w, r_minus)
         psi.append(out)
@@ -388,35 +421,20 @@ def measure_expectation(model: EvolutionModel, density: MeasureDensity,
     if model.path_count() > PATH_CAP:
         raise CapExceededError("path count exceeds cap")
     enc = _payoff_encoding(payoff, model.n_steps)
-    sigmas = _sigma_grids(model)
-    prices = _price_grids(model, sigmas)
     weights = np.array([1.0])
     for n, step in enumerate(model.steps):
         probs = np.array([at.prob for at in step.shocks])
         weights = (weights[:, None] * (probs[None, :] * density.psi[n])).ravel()
     if enc is not None:
-        pkind, pa, pxs, pys = enc
-        terminal = prices[-1]
-        if pkind in (3, 4):
+        lattice = Lattice(model)
+        prices = lattice.price
+        path_sum = None
+        if enc[0] in (3, 4):
             path_sum = np.array([model.s0])
-            for n in range(model.n_steps):
-                path_sum = np.repeat(path_sum, len(model.steps[n].shocks))
-                path_sum = path_sum + prices[n + 1]
-            mean = path_sum / float(model.n_steps + 1)
-            if pkind == 3:
-                values = np.maximum(mean - pa, 0.0)
-            else:
-                values = np.maximum(pa - mean, 0.0)
-        elif pkind == 0:
-            values = np.full(terminal.size, pa)
-        elif pkind == 1:
-            values = np.maximum(terminal - pa, 0.0)
-        elif pkind == 2:
-            values = np.maximum(pa - terminal, 0.0)
-        else:
-            values = np.array([_tree_py.payoff_value(pkind, pa, pxs, pys,
-                                                     float(x), 0.0, 1.0)
-                               for x in terminal])
+            for n, c in enumerate(lattice.counts):
+                path_sum = np.repeat(path_sum, c) + prices[n + 1]
+        values = _engine._coded_values(enc, prices[-1], path_sum,
+                                       float(model.n_steps + 1))
         return float(weights @ values)
     fn = _payoff_fn(payoff)
     total = 0.0
@@ -450,40 +468,28 @@ def verify_martingale(model: EvolutionModel, density: MeasureDensity,
     not gate `passed`; spot measures expressed as densities pass the
     martingale checks while failing equivalence.
     """
-    sigmas = _sigma_grids(model)
-    prices = _price_grids(model, sigmas)
-    counts = model.atom_counts()
+    lattice = Lattice(model)
+    counts = lattice.counts
     max_norm = 0.0
     max_drift = 0.0
     failures = []
     for n, step in enumerate(model.steps):
         probs = np.array([at.prob for at in step.shocks])
-        eps = np.array([at.eps for at in step.shocks])
         psi = density.psi[n]
         norm_res = np.abs(psi @ probs - 1.0)
-        deltas = prices[n][:, None] * step.a \
-            * (np.exp(np.outer(sigmas[n], eps)) - 1.0)
-        drift_res = np.abs(np.einsum("ha,a,ha->h", psi, probs, deltas)) \
-            / prices[n]
+        drift_res = np.abs(np.einsum("ha,a,ha->h", psi, probs,
+                                     lattice.delta(n))) / lattice.price[n]
         max_norm = max(max_norm, float(norm_res.max()))
         max_drift = max(max_drift, float(drift_res.max()))
         for h in np.nonzero(norm_res > tol)[0]:
-            failures.append((n + 1, _unflatten(h, counts, n), "normalization",
+            failures.append((n + 1, history_at(counts, n, h), "normalization",
                              float(norm_res[h])))
         for h in np.nonzero(drift_res > tol)[0]:
-            failures.append((n + 1, _unflatten(h, counts, n), "drift",
+            failures.append((n + 1, history_at(counts, n, h), "drift",
                              float(drift_res[h])))
     min_psi = density.min_value()
     return MartingaleReport(tol, max_norm, max_drift, min_psi,
                             equivalent=min_psi > 0.0, failures=failures)
-
-
-def _unflatten(flat: int, counts: tuple[int, ...], n: int) -> tuple[int, ...]:
-    out = []
-    for c in reversed(counts[:n]):
-        out.append(flat % c)
-        flat //= c
-    return tuple(reversed(out))
 
 
 def integral_representation_check(model: EvolutionModel, alphas: AlphaDensity,
@@ -531,7 +537,7 @@ def export_density(density: MeasureDensity) -> list[dict]:
     out = []
     for n, psi in enumerate(density.psi):
         for h in range(psi.shape[0]):
-            hist = list(_unflatten(h, counts, n))
+            hist = list(history_at(counts, n, h))
             for a in range(psi.shape[1]):
                 out.append({"step": n + 1, "history": hist, "atom": a,
                             "psi": float(psi[h, a])})

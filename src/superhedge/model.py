@@ -230,20 +230,32 @@ def require_valid(model: EvolutionModel) -> None:
         raise ValidationError("; ".join(report))
 
 
-def sigma_at(model: EvolutionModel, n: int, history: Sequence[float]) -> float:
-    """Realized volatility of step n (1-based) given the shock prefix."""
+def _sigmas(model: EvolutionModel, n: int,
+            eps_seq: Sequence[float]) -> list[float]:
+    """Realized volatilities of steps 1..n along the shocks ``eps_seq``
+    (that of step k depends on its first k - 1 entries): the one scalar
+    walk of the volatility recursion."""
+    out: list[float] = []
+    for i, step in enumerate(model.steps[:n]):
+        kind, params = step.vol.kind_code, step.vol.params4
+        out.append(_tree_py.sigma_next(kind, params, out[-1], eps_seq[i - 1])
+                   if i else _tree_py.sigma_initial(kind, params))
+    return out
+
+
+def _check_step(model: EvolutionModel, n: int,
+                history: Sequence[float]) -> None:
     if not 1 <= n <= model.n_steps:
         raise ValidationError(f"step index {n} out of range 1..{model.n_steps}")
     if len(history) != n - 1:
         raise ValidationError(
             f"history length {len(history)} does not match step {n}")
-    vol = model.steps[0].vol
-    sigma = _tree_py.sigma_initial(vol.kind_code, vol.params4)
-    for i in range(1, n):
-        vol = model.steps[i].vol
-        sigma = _tree_py.sigma_next(vol.kind_code, vol.params4, sigma,
-                                    history[i - 1])
-    return sigma
+
+
+def sigma_at(model: EvolutionModel, n: int, history: Sequence[float]) -> float:
+    """Realized volatility of step n (1-based) given the shock prefix."""
+    _check_step(model, n, history)
+    return _sigmas(model, n, history)[-1]
 
 
 def _step_factor(a: float, sigma: float, eps: float) -> float:
@@ -254,26 +266,19 @@ def price_path(model: EvolutionModel, idx: PathIndex) -> Path:
     """Realize shocks, volatilities and prices along one full path."""
     if len(idx.atoms) != model.n_steps:
         raise ValidationError("path index length does not match model horizon")
-    eps_seq: list[float] = []
-    sigma_seq: list[float] = []
-    prices = [model.s0]
-    prob = 1.0
-    sigma = 0.0
-    for n, step in enumerate(model.steps):
-        j = idx.atoms[n]
+    atoms = []
+    for n, (step, j) in enumerate(zip(model.steps, idx.atoms)):
         if not 0 <= j < len(step.shocks):
             raise ValidationError(f"atom index {j} invalid at step {n + 1}")
-        atom = step.shocks[j]
-        if n == 0:
-            sigma = _tree_py.sigma_initial(step.vol.kind_code, step.vol.params4)
-        else:
-            sigma = _tree_py.sigma_next(step.vol.kind_code, step.vol.params4,
-                                        sigma, eps_seq[-1])
+        atoms.append(step.shocks[j])
+    eps_seq = tuple(at.eps for at in atoms)
+    sigma_seq = tuple(_sigmas(model, model.n_steps, eps_seq))
+    prices = [model.s0]
+    prob = 1.0
+    for step, sigma, atom in zip(model.steps, sigma_seq, atoms):
         prices.append(prices[-1] * _step_factor(step.a, sigma, atom.eps))
-        eps_seq.append(atom.eps)
-        sigma_seq.append(sigma)
         prob *= atom.prob
-    return Path(tuple(eps_seq), tuple(sigma_seq), tuple(prices), prob)
+    return Path(eps_seq, sigma_seq, tuple(prices), prob)
 
 
 def delta_split(model: EvolutionModel, history: Sequence[float],
@@ -284,18 +289,13 @@ def delta_split(model: EvolutionModel, history: Sequence[float],
     max(-delta, 0) and an eps = 0 atom splits as (0, 0, 0).
     """
     n = len(history) + 1
-    sigma = sigma_at(model, n, history)
+    _check_step(model, n, history)
+    sigmas = _sigmas(model, n, history)
     price = model.s0
-    sig = 0.0
-    for i, eps in enumerate(history):
-        step = model.steps[i]
-        if i == 0:
-            sig = _tree_py.sigma_initial(step.vol.kind_code, step.vol.params4)
-        else:
-            sig = _tree_py.sigma_next(step.vol.kind_code, step.vol.params4,
-                                      sig, history[i - 1])
-        price *= _step_factor(step.a, sig, eps)
-    delta = price * model.steps[n - 1].a * (math.exp(sigma * atom.eps) - 1.0)
+    for step, sigma, eps in zip(model.steps, sigmas, history):
+        price *= _step_factor(step.a, sigma, eps)
+    delta = price * model.steps[n - 1].a * (math.exp(sigmas[-1] * atom.eps)
+                                            - 1.0)
     return delta, max(-delta, 0.0), max(delta, 0.0)
 
 
@@ -448,14 +448,20 @@ def _reject_constant(name: str):
     raise ValidationError(f"non-finite number {name} is not allowed")
 
 
-def load_model(path: str) -> EvolutionModel:
+def load_json(path: str):
+    """The JSON document in ``path``; invalid JSON and the non-finite
+    tokens NaN and Infinity are a ValidationError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
+
+
+def load_model(path: str) -> EvolutionModel:
+    doc = load_json(path)
     try:
         return model_from_dict(doc)
     except ValidationError as exc:

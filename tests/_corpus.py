@@ -7,7 +7,7 @@ import numpy as np
 from superhedge import (EvolutionModel, ShockAtom, StepSpec,
                         SupermartingaleSurface, VolatilitySpec)
 from superhedge._rng import SplitMix64
-from superhedge.measures import _sigma_grids
+from superhedge.measures import Lattice
 
 
 def random_vol(rng: SplitMix64, kinds=("constant", "garch11")) -> VolatilitySpec:
@@ -69,11 +69,10 @@ def wealth_levels(model: EvolutionModel, seed: int) -> list[np.ndarray]:
     """A self-financing wealth process: martingale under the whole family."""
     rng = SplitMix64(seed)
     kappas = [rng.uniform_in(-0.9, 0.9) for _ in range(model.n_steps)]
-    sigmas = _sigma_grids(model)
+    lattice = Lattice(model)
     levels = [np.array([1.0])]
     for n, step in enumerate(model.steps):
-        eps = np.array([at.eps for at in step.shocks])
-        rel = step.a * (np.exp(np.outer(sigmas[n], eps)) - 1.0)
+        rel = step.a * (lattice.exp(n) - 1.0)
         levels.append((levels[n][:, None] * (1.0 + kappas[n] * rel)).ravel())
     return levels
 

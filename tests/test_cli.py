@@ -219,6 +219,52 @@ class TestDecompose:
         assert main(["decompose", "--model", model_file, "--surface",
                      str(surface)]) == 1
 
+    # every prefix of the two-step model, valued 5.0, with one field
+    # replaced by a malformed value where the case asks for it
+    GOOD_NODES = ('{"history": [], "value": 5.0}, '
+                  '{"history": [0], "value": 5.0}, '
+                  '{"history": [1], "value": 5.0}, '
+                  '{"history": [0, 0], "value": 5.0}, '
+                  '{"history": [0, 1], "value": 5.0}, '
+                  '{"history": [1, 0], "value": 5.0}, '
+                  '{"history": [1, 1], "value": 5.0}')
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"floor": "x", "nodes": [%s]}' % GOOD_NODES,
+         "'floor' in the surface is not a number"),
+        ('{"floor": 1.0, "nodes": [{"history": []}, %s]}'
+         % GOOD_NODES.split(", ", 2)[2], "missing 'value'"),
+        ('{"floor": 1.0, "nodes": [{"history": ["a"], "value": 5.0}]}',
+         "not a list of atom indices"),
+        ('{"floor": 1.0, "nodes": 5}', "'nodes' must be a JSON array"),
+        ('{"floor": 1.0, "nodes": [{"history": [], "value": Infinity}]}',
+         "non-finite number Infinity"),
+        ('{"floor": 1.0, "nodes": [{"history": [], "value": NaN}]}',
+         "non-finite number NaN"),
+        ('{"floor": 1.0, "nodes": [{"history": [], "value": 1e999}]}',
+         "surface value for history [] is not finite"),
+        ('{"floor": 1e999, "nodes": [%s]}' % GOOD_NODES,
+         "surface floor inf is not finite"),
+        ('{"floor": 1.0, "nodes": [[]]}', "surface node must be a JSON object"),
+        ('{"floor": 1.0, "nodes": [{"history": 0, "value": 5.0}]}',
+         "surface node history must be a JSON array"),
+        ('{"floor": 1.0, "nodes": [{"history": [2], "value": 5.0}]}',
+         "has invalid atom index"),
+        ('[1, 2]', "surface must be a JSON object"),
+    ], ids=["floor-not-number", "value-missing", "history-not-indices",
+            "nodes-not-array", "value-infinity", "value-nan",
+            "value-overflow", "floor-overflow", "node-not-object",
+            "history-not-array", "atom-out-of-range", "not-object"])
+    def test_malformed_surface_exits_one(self, model_file, tmp_path, capsys,
+                                         text, message):
+        surface = tmp_path / "surface.json"
+        surface.write_text(text)
+        assert main(["decompose", "--model", model_file, "--surface",
+                     str(surface)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
 
 class TestOracleCommand:
     def test_expectation_and_sup(self, model_file, capsys):

@@ -8,10 +8,12 @@ from superhedge import (Decomposition, EvolutionModel, ShockAtom, StepSpec,
                         VolatilitySpec, check_ratio_bound, gamma_step,
                         mixture_density, optional_decompose, random_alpha,
                         verify_decomposition)
+from superhedge import _engine
 from superhedge.decomposition import surface_from_nodes
-from superhedge.measures import SpotMeasure, all_selections
+from superhedge.measures import Lattice, SpotMeasure, all_selections
 
-from _corpus import random_model, two_point_model, wealth_surface
+from _corpus import (chain_model, random_model, two_point_model,
+                     wealth_surface)
 
 LN2 = math.log(2.0)
 
@@ -48,8 +50,8 @@ class TestGammaStep:
         for seed in range(10):
             m = random_model(seed, n_max=3)
             surface = min_surface(m)
-            from superhedge.decomposition import _delta_grids
-            deltas = _delta_grids(m)
+            lattice = Lattice(m)
+            deltas = [lattice.delta(n) for n in range(m.n_steps)]
             counts = m.atom_counts()
             for n in range(1, m.n_steps + 1):
                 downs = m.strict_down_indices(n)
@@ -193,6 +195,50 @@ class TestVerifyDecomposition:
         report = verify_decomposition(m, surface, bad, self.densities(m, 1),
                                       tol=1e-10)
         assert any("martingale residual" in f for f in report.failures)
+
+
+class TestFromPriceFunction:
+    @staticmethod
+    def per_node(model, fn):
+        """fn on every price prefix, one prefix at a time."""
+        lattice = Lattice(model)
+        calls, levels = [], []
+        for n, level in enumerate(lattice.price):
+            vals = []
+            for flat in range(level.size):
+                prefix = [float(level[flat])]
+                h = flat
+                for lvl in range(n, 0, -1):
+                    h //= lattice.counts[lvl - 1]
+                    prefix.append(float(lattice.price[lvl - 1][h]))
+                calls.append(tuple(prefix[::-1]))
+                vals.append(fn(calls[-1]))
+            levels.append(np.array(vals))
+        return calls, levels
+
+    def check(self, model):
+        def value(prices):
+            return min(prices[-1], 0.9 * model.s0) + 0.25 * len(prices)
+
+        calls = []
+        surface = SupermartingaleSurface.from_price_function(
+            model, lambda prices: calls.append(prices) or value(prices))
+        ref_calls, ref_levels = self.per_node(model, value)
+        assert calls == ref_calls
+        assert all(type(x) is float for p in calls for x in p)
+        for got, want in zip(surface.values, ref_levels):
+            assert got.tobytes() == want.tobytes()
+
+    def test_level_larger_than_one_block(self):
+        m = chain_model(100.0, [0.3] * 15, 0.4, 0.7)
+        assert m.path_count() > _engine.CHUNK_LEAVES
+        self.check(m)
+
+    def test_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(_engine, "CHUNK_LEAVES", 5)
+        for seed in range(5):
+            self.check(random_model(seed, n_max=4,
+                                    vol_kinds=("arch1", "garch11")))
 
 
 class TestSurfaceHandling:

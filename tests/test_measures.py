@@ -9,10 +9,12 @@ from superhedge import (AtomPairSelection, EvolutionModel,
                         alpha_from_partition, delta_split, enumerate_paths,
                         integral_representation_check, measure_expectation,
                         mixture_density, psi_weights, random_alpha,
-                        spot_expectation, verify_martingale)
-from superhedge.measures import all_selections, selection_count
+                        sigma_at, spot_expectation, verify_martingale)
+from superhedge._rng import SplitMix64
+from superhedge.measures import (Lattice, all_selections, history_at,
+                                 history_index, selection_count)
 
-from _corpus import random_model, two_point_model
+from _corpus import random_model, random_step, two_point_model
 
 LN2 = math.log(2.0)
 
@@ -55,6 +57,52 @@ class TestPsiWeights:
             pd, pu = psi_weights(m, (), down, up)
             assert 0.0 < pd < 1.0 and 0.0 < pu < 1.0
             assert pd + pu == pytest.approx(1.0, abs=1e-14)
+
+
+def garch8_model() -> EvolutionModel:
+    """An 8-step GARCH(1,1) model with 4 atoms per step: 21,845 history
+    prefixes below the last step."""
+    rng = SplitMix64(8)
+    steps = []
+    while len(steps) < 8:
+        step = random_step(rng, atoms_max=4, vol_kinds=("garch11",))
+        if len(step.shocks) == 4:
+            steps.append(step)
+    return EvolutionModel(100.0, tuple(steps))
+
+
+class TestLattice:
+    def test_sigma_matches_sigma_at_bit_for_bit(self):
+        models = [random_model(seed, n_max=5, vol_kinds=("arch1", "garch11"))
+                  for seed in range(40)] + [garch8_model()]
+        for m in models:
+            lattice = Lattice(m)
+            for n, sigma in enumerate(lattice.sigma):
+                assert sigma.size == math.prod(m.atom_counts()[:n])
+                for flat, s in enumerate(sigma.tolist()):
+                    hist = history_at(lattice.counts, n, flat)
+                    eps = [m.steps[k].shocks[j].eps for k, j in enumerate(hist)]
+                    assert s == sigma_at(m, n + 1, eps), (n, hist)
+
+    def test_history_index_round_trip(self):
+        for counts in ((3,), (2, 4, 3), (4, 1, 2, 5)):
+            for n in range(len(counts) + 1):
+                size = math.prod(counts[:n])
+                seen = [history_at(counts, n, flat) for flat in range(size)]
+                assert len(set(seen)) == size
+                assert all(len(h) == n for h in seen)
+                assert [history_index(counts, h) for h in seen] \
+                    == list(range(size))
+        assert history_index((2, 3), ()) == 0
+        assert history_index((2, 3), (1, 2)) == 5
+
+    def test_history_index_rejects_bad_prefixes(self):
+        with pytest.raises(ValidationError, match="invalid atom index"):
+            history_index((2, 3), (0, 3))
+        with pytest.raises(ValidationError, match="invalid atom index"):
+            history_index((2, 3), (-1,))
+        with pytest.raises(ValidationError, match="longer than the horizon"):
+            history_index((2, 3), (0, 0, 0))
 
 
 class TestSpotMeasures:
