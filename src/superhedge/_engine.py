@@ -11,17 +11,17 @@ weights and the price moves are
 and where ``e^{sigma*eps_up}`` saturates to inf the weights are the exact
 limit (1, 0).  A tree's value is the sum over its leaves of weight times
 payoff; a branch of weight exactly 0 is pruned with everything below it.
-Volatility kinds: 0 constant (params[0] = sigma), 1 ARCH(1) (omega0,
-alpha1, floor), 2 GARCH(1,1) (omega0, alpha1, beta1, floor).  Payoff codes
-are those of ``Payoff.kernel_encoding``; path-table payoffs and plain
-callables receive each leaf's price path and atom indices.
+The volatility recursion is ``VolatilitySpec``'s (``next_sigmas``).  A
+``Payoff`` with a formula values the leaves of a level at once
+(``Payoff.values``); path-table payoffs and plain callables receive each
+leaf's price path and atom indices.
 
 The engine evaluates many trees level by level.  A level holds
 ``[rows, 2**level]`` arrays of node price, weight, path sum and
 volatility.  The nodes of a row are in depth-first order, down branch
 first, so the bits of leaf ``k`` (most significant = step 0, 0 = down)
-spell its path.  ``values`` evaluates trees given by explicit per-tree
-shocks.  ``scan``, ``scan_min`` and ``scan_values`` run over every
+spell its path.  ``value`` evaluates one tree given by its shocks.
+``scan``, ``scan_min`` and ``scan_values`` run over every
 combination of per-step candidate pairs in lexicographic order (step 0
 most significant, down candidate the major index within a step); rows
 that share a prefix share its nodes.  ``max_drift`` gives one tree's
@@ -56,8 +56,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._tree_py import exp as _saturating_exp
-from ._tree_py import sigma_initial
 from .errors import ValidationError
 
 NAME = "numpy"
@@ -68,11 +66,10 @@ _INF = float("inf")
 
 # -- payoffs -------------------------------------------------------------
 
-def payoff_encoding(payoff, n_steps: int):
-    """The vectorised payoff code of ``payoff``, or None for path tables
-    and plain callables."""
-    enc = getattr(payoff, "kernel_encoding", None)
-    return None if enc is None else enc(n_steps)
+def formula(payoff):
+    """``payoff`` when it values paths by a formula (``Payoff.values``);
+    None for path tables and plain callables."""
+    return None if getattr(payoff, "kind", "table") == "table" else payoff
 
 
 def payoff_fn(payoff) -> Callable:
@@ -85,49 +82,18 @@ def payoff_fn(payoff) -> Callable:
     raise ValidationError("payoff is neither a Payoff nor a callable")
 
 
-def _coded_values(enc, price, psum, n_plus_1: float) -> np.ndarray:
-    pkind, pa, pxs, pys = enc
-    if pkind == 0:
-        return np.full(price.shape, pa)
-    if pkind == 1:
-        d = price - pa
-    elif pkind == 2:
-        d = pa - price
-    elif pkind == 3:
-        d = psum / n_plus_1 - pa
-    elif pkind == 4:
-        d = pa - psum / n_plus_1
-    else:
-        return _pwl_values(price, pxs, pys, pa)
-    d[~(d > 0.0)] = 0.0
-    return d
-
-
-def _pwl_values(x, pxs, pys, right_slope: float) -> np.ndarray:
-    xs = np.asarray(pxs, dtype=float)
-    ys = np.asarray(pys, dtype=float)
-    k = xs.size
-    tail = ys[k - 1] + right_slope * (x - xs[k - 1])
-    if k > 1:
-        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, k - 2)
-        inner = ys[i] + (ys[i + 1] - ys[i]) * (x - xs[i]) / (xs[i + 1] - xs[i])
-        tail = np.where(x >= xs[k - 1], tail, inner)
-    return np.where(x <= xs[0], ys[0], tail)
-
-
 # -- one level -----------------------------------------------------------
 
 class _Model:
-    """The per-step constants of a model, in the layout of
-    ``EvolutionModel.kernel_vol_arrays``."""
+    """The per-step constants of a model."""
 
-    __slots__ = ("s0", "n", "a", "vkinds", "vparams", "radix", "code_dtype")
+    __slots__ = ("s0", "n", "a", "vols", "radix", "code_dtype")
 
     def __init__(self, model):
         self.s0 = model.s0
         self.n = model.n_steps
         self.a = [s.a for s in model.steps]
-        self.vkinds, self.vparams = model.kernel_vol_arrays()
+        self.vols = [s.vol for s in model.steps]
         # an atom path is carried as one mixed-radix code, step 0 most
         # significant; Python ints where int64 could overflow
         self.radix = [max(1, len(s.shocks)) for s in model.steps]
@@ -190,15 +156,22 @@ class _Nodes:
 def _root(m: _Model, want_psum: bool, want_paths: bool,
           with_atoms: bool) -> _Nodes:
     one = np.full((1, 1), m.s0)
-    sigma = np.full((1, 1), sigma_initial(m.vkinds[0], m.vparams[0]))
+    sigma = np.full((1, 1), m.vols[0].initial_sigma())
     return _Nodes(one, np.ones((1, 1)), one if want_psum else None, None,
                   sigma, one[:, :, None] if want_paths else None,
                   np.zeros((1, 1), dtype=m.code_dtype) if with_atoms else None)
 
 
+def _saturating_exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return _INF
+
+
 def _exp(x: np.ndarray) -> np.ndarray:
     """``math.exp`` of every element of the 1-D ``x``, once per distinct
-    value; an overflow gives inf (``_tree_py.exp``)."""
+    value; an overflow gives inf."""
     inv = None
     if x.size > _FEW:
         x, inv = np.unique(x, return_inverse=True)
@@ -208,22 +181,6 @@ def _exp(x: np.ndarray) -> np.ndarray:
     except OverflowError:
         out = np.array([_saturating_exp(v) for v in args])
     return out if inv is None else out[inv.ravel()]
-
-
-def _sigma_step(kind: int, params, sigma_prev, x):
-    """``_tree_py.sigma_next`` elementwise for ARCH/GARCH, same operation
-    order, given ``x = sigma_prev * eps_prev``."""
-    s2 = params[1] * x
-    s2 *= x
-    s2 += params[0]
-    if kind == 2:
-        g = params[2] * sigma_prev
-        g *= sigma_prev
-        s2 += g
-    np.sqrt(s2, out=s2)
-    floor = params[2] if kind == 1 else params[3]
-    s2[s2 < floor] = floor
-    return s2
 
 
 class _Branch:
@@ -300,13 +257,13 @@ def _grow(m: _Model, level: int, nodes: _Nodes, br: _Branch, eps_d, eps_u,
         live = _interleave(was & keep_d, was & keep_u, shape)
     sigma = None
     if level + 1 < m.n:
-        kind, params = m.vkinds[level + 1], m.vparams[level + 1]
-        if kind == 0:
-            sigma = np.full((1, 1), params[0])
+        vol = m.vols[level + 1]
+        if vol.kind == "constant":
+            sigma = np.full((1, 1), vol.sigma)
         else:
             s = nodes.sigma[:, None, :, None]
             eps = np.stack((eps_d, eps_u), axis=-1)
-            sig = _sigma_step(kind, params, s, s * eps[:, :, None, :])
+            sig = vol.next_sigmas(s, s * eps[:, :, None, :])
             if sig.shape != shape + (2,):
                 sig = np.broadcast_to(sig, shape + (2,))
             sigma = sig.reshape(shape[0] * shape[1], shape[2] * 2)
@@ -329,22 +286,22 @@ def _grow(m: _Model, level: int, nodes: _Nodes, br: _Branch, eps_d, eps_u,
 class _Payoff:
     """How the leaves of one evaluation are valued."""
 
-    __slots__ = ("enc", "fn", "want_psum", "want_paths")
+    __slots__ = ("formula", "fn", "want_psum", "want_paths")
 
-    def __init__(self, payoff, n_steps: int):
-        self.enc = payoff_encoding(payoff, n_steps)
-        self.fn = None if self.enc is not None else payoff_fn(payoff)
-        self.want_psum = self.enc is not None and self.enc[0] in (3, 4)
-        self.want_paths = self.enc is None
+    def __init__(self, payoff):
+        self.formula = formula(payoff)
+        self.fn = None if self.formula is not None else payoff_fn(payoff)
+        self.want_psum = self.formula is not None \
+            and self.formula.reads_path_sum
+        self.want_paths = self.formula is None
 
 
 def _leaf_values(m: _Model, pay: _Payoff, nodes: _Nodes,
                  acc: np.ndarray | None = None) -> np.ndarray:
     """Tree value of every row: its leaves' weight * payoff, added left to
     right in depth-first order to ``acc`` (zeros when None)."""
-    if pay.enc is not None:
-        contrib = _coded_values(pay.enc, nodes.price, nodes.psum,
-                                float(m.n + 1))
+    if pay.formula is not None:
+        contrib = pay.formula.values(nodes.price, nodes.psum, m.n)
     else:
         contrib = _path_values(m, pay.fn, nodes)
     contrib *= nodes.prob
@@ -386,12 +343,6 @@ def _path_values(m: _Model, fn, nodes: _Nodes) -> np.ndarray:
 
 # -- explicit trees --------------------------------------------------------
 
-def _chunks(c: int, n: int) -> Iterator[tuple[int, int]]:
-    step = max(1, CHUNK_LEAVES >> n)
-    for lo in range(0, c, step):
-        yield lo, min(c, lo + step)
-
-
 def _split_level(n: int) -> int:
     """The level whose nodes each root at most ``CHUNK_LEAVES`` leaves of
     an ``n``-step tree (0 when the whole tree fits)."""
@@ -412,45 +363,39 @@ def _leaf_blocks(m: _Model, nodes: _Nodes, grow) -> Iterator[_Nodes]:
         yield block
 
 
-def _tree_values(m: _Model, pay: _Payoff, eps_dn, eps_up, atoms_dn,
-                 atoms_up) -> np.ndarray:
+def _tree_value(m: _Model, pay: _Payoff, eps_dn, eps_up, atoms_dn,
+                atoms_up) -> float:
     with_atoms = atoms_dn is not None and pay.want_paths
-    out = np.zeros(eps_dn.shape[0])
-    for lo, hi in _chunks(eps_dn.shape[0], m.n):
-        def grow(nodes, level):
-            eps_d, eps_u = eps_dn[lo:hi, level, None], eps_up[lo:hi, level,
-                                                             None]
-            at_d = atoms_dn[lo:hi, level, None] if with_atoms else None
-            at_u = atoms_up[lo:hi, level, None] if with_atoms else None
-            return _grow(m, level, nodes, _Branch(nodes, eps_d, eps_u),
-                         eps_d, eps_u, at_d, at_u)
+    eps_d = np.asarray(eps_dn, dtype=float).reshape(m.n, 1, 1)
+    eps_u = np.asarray(eps_up, dtype=float).reshape(m.n, 1, 1)
+    if with_atoms:
+        at_d = np.asarray(atoms_dn, dtype=np.int64).reshape(m.n, 1, 1)
+        at_u = np.asarray(atoms_up, dtype=np.int64).reshape(m.n, 1, 1)
+    else:
+        at_d = at_u = [None] * m.n
 
-        root = _root(m, pay.want_psum, pay.want_paths, with_atoms)
-        acc = out[lo:hi]
-        for leaves in _leaf_blocks(m, root, grow):
-            _leaf_values(m, pay, leaves, acc)
-    return out
+    def grow(nodes, level):
+        return _grow(m, level, nodes,
+                     _Branch(nodes, eps_d[level], eps_u[level]),
+                     eps_d[level], eps_u[level], at_d[level], at_u[level])
 
-
-def _tree_rows(m: _Model, eps_dn, eps_up):
-    return (np.asarray(eps_dn, dtype=float).reshape(-1, m.n),
-            np.asarray(eps_up, dtype=float).reshape(-1, m.n))
+    acc = np.zeros(1)
+    for leaves in _leaf_blocks(m, _root(m, pay.want_psum, pay.want_paths,
+                                        with_atoms), grow):
+        _leaf_values(m, pay, leaves, acc)
+    return float(acc[0])
 
 
-def values(model, eps_dn, eps_up, payoff, atoms_dn=None,
-           atoms_up=None) -> np.ndarray:
-    """Expectation of ``payoff`` under each spot tree: row ``c`` of
-    ``eps_dn`` / ``eps_up`` ([C, N]) holds tree ``c``'s shock pair per
-    step, and row ``c`` of ``atoms_dn`` / ``atoms_up`` the atom indices
-    that path tables and callables receive."""
+def value(model, eps_dn, eps_up, payoff, atoms_dn=None,
+          atoms_up=None) -> float:
+    """Expectation of ``payoff`` under one spot tree: ``eps_dn`` /
+    ``eps_up`` hold its shock pair per step, and ``atoms_dn`` /
+    ``atoms_up`` the atom indices that path tables and callables
+    receive."""
     m = _Model(model)
-    eps_dn, eps_up = _tree_rows(m, eps_dn, eps_up)
-    if atoms_dn is not None:
-        atoms_dn = np.asarray(atoms_dn, dtype=np.int64).reshape(-1, m.n)
-        atoms_up = np.asarray(atoms_up, dtype=np.int64).reshape(-1, m.n)
     with np.errstate(all="ignore"):
-        return _tree_values(m, _Payoff(payoff, m.n), eps_dn, eps_up,
-                            atoms_dn, atoms_up)
+        return _tree_value(m, _Payoff(payoff), eps_dn, eps_up, atoms_dn,
+                           atoms_up)
 
 
 def _drift_levels(m: _Model, pairs, level: int, stop: int, price, sigma):
@@ -467,11 +412,11 @@ def _drift_levels(m: _Model, pairs, level: int, stop: int, price, sigma):
         if level + 1 == m.n:
             return out, None, None
         price = (price[:, None] * (1.0 + m.a[level] * (e - 1.0))).ravel()
-        kind, params = m.vkinds[level + 1], m.vparams[level + 1]
-        if kind == 0:
-            sigma = np.array([params[0]])
+        vol = m.vols[level + 1]
+        if vol.kind == "constant":
+            sigma = np.array([vol.sigma])
         else:
-            sigma = _sigma_step(kind, params, sigma[:, None], args)
+            sigma = vol.next_sigmas(sigma[:, None], args)
             if sigma.size != price.size:
                 sigma = np.broadcast_to(sigma, (price.size // 2, 2))
             sigma = sigma.ravel()
@@ -544,7 +489,7 @@ def max_drift(model, eps_dn, eps_up) -> float:
 
     top = min(_split_level(n), n - 1)
     price = np.array([m.s0])
-    sigma = np.array([sigma_initial(m.vkinds[0], m.vparams[0])])
+    sigma = np.array([m.vols[0].initial_sigma()])
     with np.errstate(all="ignore"):
         if top:
             levels, price, sigma = _drift_levels(m, pairs, 0, top, price,
@@ -598,12 +543,12 @@ def _deep_scan(m: _Model, pay: _Payoff, plan: _Plan, with_atoms: bool
     tree at a time."""
     with np.errstate(all="ignore"):
         for combo in itertools.product(*map(range, plan.pairs)):
-            def row(per_step):
-                return np.array([[per_step[st][0, p]
-                                  for st, p in enumerate(combo)]])
-            yield _tree_values(m, pay, row(plan.eps_d), row(plan.eps_u),
-                               row(plan.at_d) if with_atoms else None,
-                               row(plan.at_u) if with_atoms else None)
+            def pick(per_step):
+                return [per_step[st][0, p] for st, p in enumerate(combo)]
+            yield np.array([_tree_value(
+                m, pay, pick(plan.eps_d), pick(plan.eps_u),
+                pick(plan.at_d) if with_atoms else None,
+                pick(plan.at_u) if with_atoms else None)])
 
 
 def scan_values(model, dn_cands, up_cands, payoff, atoms_dn=None,
@@ -611,7 +556,7 @@ def scan_values(model, dn_cands, up_cands, payoff, atoms_dn=None,
     """Tree values of every candidate combination, in lexicographic order,
     one chunk at a time."""
     m = _Model(model)
-    pay = _Payoff(payoff, m.n)
+    pay = _Payoff(payoff)
     plan = _Plan(dn_cands, up_cands, atoms_dn, atoms_up)
     with_atoms = atoms_dn is not None and pay.want_paths
     n = m.n

@@ -29,7 +29,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import _engine
 from .errors import ValidationError
 from .measures import (Lattice, MeasureDensity, history_at, history_index,
                        verify_martingale)
@@ -82,19 +81,12 @@ class SupermartingaleSurface:
         """Build a surface by evaluating fn on every price prefix
         (S_0, ..., S_n), level by level, in row-major order."""
         lattice = Lattice(model)
-        prices, counts = lattice.price, lattice.counts
-        block = _engine.CHUNK_LEAVES
         levels = []
-        for n, level in enumerate(prices):
+        for n, level in enumerate(lattice.price):
             vals = np.empty(level.size)
-            for lo in range(0, level.size, block):
-                # the price paths of a block of prefixes, one list per step
-                rows = np.arange(lo, min(level.size, lo + block))
-                cols = [level[rows].tolist()]
-                for lvl in range(n, 0, -1):
-                    rows //= counts[lvl - 1]
-                    cols.append(prices[lvl - 1][rows].tolist())
-                vals[lo:lo + rows.size] = [fn(p) for p in zip(*cols[::-1])]
+            for lo, prices, _ in lattice.paths(n):
+                block = [fn(p) for p in prices]
+                vals[lo:lo + len(block)] = block
             levels.append(vals)
         return SupermartingaleSurface.from_values(model, levels)
 
@@ -146,18 +138,23 @@ def gamma_step(model: EvolutionModel, surface: SupermartingaleSurface,
         raise ValidationError(f"step index {n} out of range")
     if len(history_atoms) != n - 1:
         raise ValidationError("history length does not match step index")
-    downs = model.strict_down_indices(n)
+    flat = history_index(model.atom_counts(), history_atoms)
+    return float(_level(Lattice(model), surface, n - 1)[2][flat])
+
+
+def _level(lattice: Lattice, surface: SupermartingaleSurface, n: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dS_{n+1} and f_{n+1}/f_n per (length-n prefix, atom), and
+    gamma_n per prefix."""
+    downs = list(lattice.model.strict_down_indices(n + 1))
     if not downs:
-        raise ValidationError(f"step {n} has no strictly-down atom")
-    counts = model.atom_counts()
-    flat = history_index(counts, history_atoms)
-    delta = Lattice(model).delta(n - 1)[flat]
-    f_prev = surface.values[n - 1][flat]
-    best = np.inf
-    for j in downs:
-        ratio = surface.values[n][flat * counts[n - 1] + j] / f_prev
-        best = min(best, (1.0 - ratio) / (-delta[j]))
-    return float(best)
+        raise ValidationError(f"step {n + 1} has no strictly-down atom")
+    delta = lattice.delta(n)
+    ratios = surface.values[n + 1].reshape(-1, lattice.counts[n]) \
+        / surface.values[n][:, None]
+    gamma = reduce(np.minimum, ((1.0 - ratios[:, j]) / -delta[:, j]
+                                for j in downs))
+    return delta, ratios, gamma
 
 
 def _ratio_bound(model: EvolutionModel, surface: SupermartingaleSurface,
@@ -171,22 +168,13 @@ def _ratio_bound(model: EvolutionModel, surface: SupermartingaleSurface,
     worst = 0.0
     failures = []
     for n in range(model.n_steps):
-        downs = list(model.strict_down_indices(n + 1))
-        if not downs:
-            raise ValidationError(f"step {n + 1} has no strictly-down atom")
-        xi = lattice.delta(n)
-        f_prev = surface.values[n]
-        f_next = surface.values[n + 1].reshape(-1, counts[n])
-        ratios = f_next / f_prev[:, None]
-        # column by column and in place, so no grid of the level is held
-        # twice: gamma, xi0 = 1 + gamma dS, (ratio - xi0) / max(1, f_{n-1})
-        gamma = reduce(np.minimum, ((1.0 - ratios[:, j]) / -xi[:, j]
-                                    for j in downs))
+        xi, excess, gamma = _level(lattice, surface, n)
+        # in place, so no grid of the level is held twice:
+        # xi0 = 1 + gamma dS, (ratio - xi0) / max(1, f_{n-1})
         xi *= gamma[:, None]
         xi += 1.0
-        excess = ratios
         excess -= xi
-        excess /= np.maximum(1.0, f_prev)[:, None]
+        excess /= np.maximum(1.0, surface.values[n])[:, None]
         worst = max(worst, float(excess.max()))
         for h, j in zip(*np.nonzero(excess > tol)):
             failures.append((n + 1, history_at(counts, n, h), int(j),

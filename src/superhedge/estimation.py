@@ -204,7 +204,10 @@ def estimated_price(sample: PriceSample, spec: StatisticSpec, kind: str,
 def load_price_csv(path: str) -> PriceSample:
     """Read `t,price` rows, t = 0..N in order; the t=0 row defines s0."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not valid UTF-8 ({exc})") from exc
     if not rows or [c.strip() for c in rows[0]] != ["t", "price"]:
         raise ValidationError(f"{path}: expected header 't,price'")
     prices = []

@@ -38,12 +38,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import _engine, _tree_py
-from ._engine import payoff_encoding as _payoff_encoding
-from ._engine import payoff_fn as _payoff_fn
+from . import _engine
 from .errors import CapExceededError, ValidationError
-from .model import (PATH_CAP, EvolutionModel, StepSpec, enumerate_paths,
-                    require_valid, sigma_at)
+from .model import (PATH_CAP, EvolutionModel, StepSpec, require_valid,
+                    sigma_at)
 
 SELECTION_CAP = 2_000_000
 
@@ -82,23 +80,22 @@ class Lattice:
     ``sigma[n]`` (step n + 1's volatility, bit for bit ``sigma_at``),
     ``price[n]`` (S_n), and per (prefix, atom) ``exp(n)`` (e^{sigma eps},
     not kept) and ``delta(n)`` (dS_{n+1}), each built in the buffer of its
-    exponentials so that a level's grid is held once."""
+    exponentials so that a level's grid is held once.  ``paths(n)`` walks
+    the price and atom paths of the length-n prefixes."""
 
     def __init__(self, model: EvolutionModel):
         self.model = model
         self.counts = model.atom_counts()
         self.eps = [np.array([at.eps for at in s.shocks]) for s in model.steps]
-        vol = model.steps[0].vol
-        sigma = [np.array([_tree_py.sigma_initial(vol.kind_code, vol.params4)])]
+        sigma = [np.array([model.steps[0].vol.initial_sigma()])]
         for n in range(1, model.n_steps):
             vol = model.steps[n].vol
             prev = sigma[-1][:, None]
             if vol.kind == "constant":
                 sigma.append(np.full(prev.size * self.counts[n - 1], vol.sigma))
             else:
-                sigma.append(_engine._sigma_step(
-                    vol.kind_code, vol.params4, prev,
-                    prev * self.eps[n - 1]).ravel())
+                sigma.append(vol.next_sigmas(prev,
+                                             prev * self.eps[n - 1]).ravel())
         self.sigma = sigma
 
     def exp(self, n: int) -> np.ndarray:
@@ -122,6 +119,30 @@ class Lattice:
         d -= 1.0
         d *= self.price[n][:, None] * self.model.steps[n].a
         return d
+
+    def finite_exp(self, n: int) -> np.ndarray:
+        """``exp(n)``; an overflow is a ValidationError naming the step."""
+        with np.errstate(over="ignore"):
+            e = self.exp(n)
+        if np.isinf(e).any():
+            raise ValidationError(
+                f"e^(sigma*eps) overflows at step {n + 1}")
+        return e
+
+    def paths(self, n: int) -> Iterator[tuple[int, Iterator, Iterator]]:
+        """The length-``n`` prefixes in row-major order, in blocks of at
+        most ``CHUNK_LEAVES``: the first row of each block, and its price
+        paths (S_0, ..., S_n) and atom paths, tuples of Python numbers."""
+        level = self.price[n]
+        block = _engine.CHUNK_LEAVES
+        for lo in range(0, level.size, block):
+            rows = np.arange(lo, min(level.size, lo + block))
+            prices, atoms = [level[rows].tolist()], []
+            for lvl in range(n, 0, -1):
+                rows, atom = np.divmod(rows, self.counts[lvl - 1])
+                atoms.append(atom.tolist())
+                prices.append(self.price[lvl - 1][rows].tolist())
+            yield lo, zip(*prices[::-1]), zip(*atoms[::-1])
 
 
 # -- spot measures --------------------------------------------------------
@@ -208,7 +229,7 @@ def spot_tree_value(model: EvolutionModel, eps_dn: Sequence[float],
     """Spot-tree expectation for explicit eps pairs (used by grid search)."""
     if 2 ** model.n_steps > PATH_CAP:
         raise CapExceededError(f"2^{model.n_steps} branches exceed cap")
-    return float(_engine.values(model, [eps_dn], [eps_up], payoff)[0])
+    return _engine.value(model, eps_dn, eps_up, payoff)
 
 
 def spot_expectation(model: EvolutionModel, selection: AtomPairSelection,
@@ -220,8 +241,7 @@ def spot_expectation(model: EvolutionModel, selection: AtomPairSelection,
     eps_dn, eps_up = _selection_eps(model, selection)
     atoms_dn = [d for d, _ in selection.pairs]
     atoms_up = [u for _, u in selection.pairs]
-    return float(_engine.values(model, [eps_dn], [eps_up], payoff,
-                                [atoms_dn], [atoms_up])[0])
+    return _engine.value(model, eps_dn, eps_up, payoff, atoms_dn, atoms_up)
 
 
 @dataclass(frozen=True)
@@ -251,7 +271,7 @@ class SpotMeasure:
         psi = []
         for n, step in enumerate(model.steps):
             d, u = self.selection.pairs[n]
-            e = lattice.exp(n)
+            e = lattice.finite_exp(n)
             out = np.zeros(e.shape)
             ed, eu = e[:, d], e[:, u]
             denom = eu - ed
@@ -378,7 +398,8 @@ class MeasureDensity:
         return all(np.all(p > 0.0) for p in self.psi)
 
     def min_value(self) -> float:
-        return min(float(p.min()) for p in self.psi)
+        """The smallest psi; NaN when any cell is NaN."""
+        return float(np.min([p.min() for p in self.psi]))
 
 
 def mixture_density(model: EvolutionModel,
@@ -394,7 +415,7 @@ def mixture_density(model: EvolutionModel,
     for n, step in enumerate(model.steps):
         sa = alphas.steps[n]
         probs = np.array([at.prob for at in step.shocks])
-        e = lattice.exp(n)
+        e = lattice.finite_exp(n)
         e_dn = e[:, list(sa.down_atoms)]               # (H, D)
         e_up = e[:, list(sa.up_atoms)]                 # (H, U)
         del e
@@ -420,29 +441,27 @@ def measure_expectation(model: EvolutionModel, density: MeasureDensity,
     prod(psi) * payoff."""
     if model.path_count() > PATH_CAP:
         raise CapExceededError("path count exceeds cap")
-    enc = _payoff_encoding(payoff, model.n_steps)
     weights = np.array([1.0])
     for n, step in enumerate(model.steps):
         probs = np.array([at.prob for at in step.shocks])
         weights = (weights[:, None] * (probs[None, :] * density.psi[n])).ravel()
-    if enc is not None:
-        lattice = Lattice(model)
+    lattice = Lattice(model)
+    formula = _engine.formula(payoff)
+    if formula is not None:
         prices = lattice.price
         path_sum = None
-        if enc[0] in (3, 4):
+        if formula.reads_path_sum:
             path_sum = np.array([model.s0])
             for n, c in enumerate(lattice.counts):
                 path_sum = np.repeat(path_sum, c) + prices[n + 1]
-        values = _engine._coded_values(enc, prices[-1], path_sum,
-                                       float(model.n_steps + 1))
-        return float(weights @ values)
-    fn = _payoff_fn(payoff)
-    total = 0.0
-    flat = 0
-    for idx, path in enumerate_paths(model):
-        total += weights[flat] * fn(path.price_seq, idx.atoms)
-        flat += 1
-    return total
+        values = formula.values(prices[-1], path_sum, model.n_steps)
+    else:
+        fn = _engine.payoff_fn(payoff)
+        values = np.empty(weights.size)
+        for lo, prices, atoms in lattice.paths(model.n_steps):
+            block = [fn(p, a) for p, a in zip(prices, atoms)]
+            values[lo:lo + len(block)] = block
+    return float(weights @ values)
 
 
 @dataclass
@@ -466,7 +485,8 @@ def verify_martingale(model: EvolutionModel, density: MeasureDensity,
 
     Equivalence (strict positivity of psi) is reported separately and does
     not gate `passed`; spot measures expressed as densities pass the
-    martingale checks while failing equivalence.
+    martingale checks while failing equivalence.  A NaN residual is a
+    failure, and the maxima propagate it.
     """
     lattice = Lattice(model)
     counts = lattice.counts
@@ -479,12 +499,12 @@ def verify_martingale(model: EvolutionModel, density: MeasureDensity,
         norm_res = np.abs(psi @ probs - 1.0)
         drift_res = np.abs(np.einsum("ha,a,ha->h", psi, probs,
                                      lattice.delta(n))) / lattice.price[n]
-        max_norm = max(max_norm, float(norm_res.max()))
-        max_drift = max(max_drift, float(drift_res.max()))
-        for h in np.nonzero(norm_res > tol)[0]:
+        max_norm = float(np.maximum(max_norm, norm_res.max()))
+        max_drift = float(np.maximum(max_drift, drift_res.max()))
+        for h in np.nonzero(~(norm_res <= tol))[0]:
             failures.append((n + 1, history_at(counts, n, h), "normalization",
                              float(norm_res[h])))
-        for h in np.nonzero(drift_res > tol)[0]:
+        for h in np.nonzero(~(drift_res <= tol))[0]:
             failures.append((n + 1, history_at(counts, n, h), "drift",
                              float(drift_res[h])))
     min_psi = density.min_value()

@@ -18,6 +18,8 @@ Volatility recursions (an artifact choice, clamped below by ``floor``):
                                 + beta1 * sigma_{n-1}^2
 
 with ``sigma_1 = max(floor, sqrt(omega0))`` at the empty history.
+``VolatilitySpec`` holds the recursion, one value at a time and
+elementwise, in the same operation order.
 """
 
 from __future__ import annotations
@@ -28,15 +30,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from . import _tree_py
+import numpy as np
+
 from ._rng import SplitMix64
 from .errors import CapExceededError, ValidationError
 
 PATH_CAP = 10_000_000
 PROB_SUM_TOL = 1e-12
 PROB_RENORM_TOL = 1e-9
-
-_VOL_KINDS = {"constant": 0, "arch1": 1, "garch11": 2}
 
 
 @dataclass(frozen=True)
@@ -71,18 +72,40 @@ class VolatilitySpec:
         return VolatilitySpec(kind="garch11", omega0=omega0, alpha1=alpha1,
                               beta1=beta1, floor=floor)
 
-    @property
-    def kind_code(self) -> int:
-        return _VOL_KINDS[self.kind]
-
-    @property
-    def params4(self) -> tuple[float, float, float, float]:
-        """Parameter row in the layout the tree engine expects."""
+    def initial_sigma(self) -> float:
+        """sigma_1, the volatility at the empty history."""
         if self.kind == "constant":
-            return (self.sigma, 0.0, 0.0, 0.0)
-        if self.kind == "arch1":
-            return (self.omega0, self.alpha1, self.floor, 0.0)
-        return (self.omega0, self.alpha1, self.beta1, self.floor)
+            return self.sigma
+        s = math.sqrt(self.omega0)
+        return self.floor if s < self.floor else s
+
+    def next_sigma(self, sigma_prev: float, eps_prev: float) -> float:
+        """The volatility after the shock ``eps_prev`` at volatility
+        ``sigma_prev``."""
+        if self.kind == "constant":
+            return self.sigma
+        s2 = self.omega0 + self.alpha1 * (sigma_prev * eps_prev) \
+            * (sigma_prev * eps_prev)
+        if self.kind == "garch11":
+            s2 = s2 + self.beta1 * sigma_prev * sigma_prev
+        s = math.sqrt(s2)
+        return self.floor if s < self.floor else s
+
+    def next_sigmas(self, sigma_prev: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+        """``next_sigma`` elementwise for ARCH/GARCH, in the same operation
+        order, given ``x = sigma_prev * eps_prev``.  A constant law needs
+        no step: its volatility is ``sigma`` at every history."""
+        s2 = self.alpha1 * x
+        s2 *= x
+        s2 += self.omega0
+        if self.kind == "garch11":
+            g = self.beta1 * sigma_prev
+            g *= sigma_prev
+            s2 += g
+        np.sqrt(s2, out=s2)
+        s2[s2 < self.floor] = self.floor
+        return s2
 
     def violations(self, step: int) -> list[str]:
         out = []
@@ -158,11 +181,6 @@ class EvolutionModel:
         return tuple(i for i, at in enumerate(self.steps[n - 1].shocks)
                      if at.eps > 0.0)
 
-    def kernel_vol_arrays(self) -> tuple[list[int], list[tuple]]:
-        kinds = [s.vol.kind_code for s in self.steps]
-        params = [s.vol.params4 for s in self.steps]
-        return kinds, params
-
 
 @dataclass(frozen=True)
 class PathIndex:
@@ -237,9 +255,8 @@ def _sigmas(model: EvolutionModel, n: int,
     walk of the volatility recursion."""
     out: list[float] = []
     for i, step in enumerate(model.steps[:n]):
-        kind, params = step.vol.kind_code, step.vol.params4
-        out.append(_tree_py.sigma_next(kind, params, out[-1], eps_seq[i - 1])
-                   if i else _tree_py.sigma_initial(kind, params))
+        out.append(step.vol.next_sigma(out[-1], eps_seq[i - 1])
+                   if i else step.vol.initial_sigma())
     return out
 
 
@@ -456,6 +473,8 @@ def load_json(path: str):
             return json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not valid UTF-8 ({exc})") from exc
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
 

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _engine, _tree_py
+from . import _engine
 from .errors import CapExceededError, ValidationError
 from .measures import (SELECTION_CAP, AtomPairSelection, _atom_candidates,
                        selection_count)
@@ -36,13 +36,16 @@ from .model import PATH_CAP, EvolutionModel, require_valid
 
 _PAYOFF_KINDS = ("const", "call", "put", "asian_call", "asian_put", "pwl",
                  "table")
-_KERNEL_CODES = {"const": 0, "call": 1, "put": 2, "asian_call": 3,
-                 "asian_put": 4, "pwl": 5}
 
 
 @dataclass(frozen=True)
 class Payoff:
-    """A nonnegative claim on the price path."""
+    """A nonnegative claim on the price path.
+
+    Every kind but ``table`` is a formula of the terminal price and, for
+    the Asian kinds, the path mean; ``value`` evaluates it on one path and
+    ``values`` elementwise, in the same operation order.
+    """
 
     kind: str
     strike: float = 0.0
@@ -55,8 +58,8 @@ class Payoff:
         if self.kind not in _PAYOFF_KINDS:
             raise ValidationError(f"unknown payoff kind {self.kind!r}")
         if self.kind in ("call", "put", "asian_call", "asian_put"):
-            if not self.strike > 0:
-                raise ValidationError("strike must be positive")
+            if not 0 < self.strike < math.inf:
+                raise ValidationError("strike must be positive and finite")
         if self.kind == "const" and self.const_value < 0:
             raise ValidationError("constant payoff must be nonnegative")
         if self.kind == "pwl":
@@ -106,16 +109,10 @@ class Payoff:
         return Payoff("table", table=dict(table))
 
     # evaluation ---------------------------------------------------------
-    def kernel_encoding(self, n_steps: int):
-        if self.kind == "table":
-            return None
-        code = _KERNEL_CODES[self.kind]
-        if self.kind == "const":
-            return (code, self.const_value, [], [])
-        if self.kind == "pwl":
-            return (code, self.right_slope, [x for x, _ in self.knots],
-                    [y for _, y in self.knots])
-        return (code, self.strike, [], [])
+    @property
+    def reads_path_sum(self) -> bool:
+        """Whether the formula reads the path sum S_0 + ... + S_N."""
+        return self.kind in ("asian_call", "asian_put")
 
     def value(self, prices: Sequence[float], atoms=None) -> float:
         if self.kind == "table":
@@ -125,21 +122,79 @@ class Payoff:
                 return float(self.table[tuple(atoms)])
             except KeyError:
                 raise ValidationError(f"path {tuple(atoms)} missing from table")
-        code, pa, pxs, pys = self.kernel_encoding(len(prices) - 1)
         path_sum = 0.0
-        if code in (3, 4):
+        if self.reads_path_sum:
             for p in prices:
                 path_sum += p
-        return _tree_py.payoff_value(code, pa, pxs, pys, prices[-1], path_sum,
-                                     float(len(prices)))
+        return self._formula(prices[-1], path_sum, float(len(prices)))
+
+    def _formula(self, s_n: float, path_sum: float, n_prices: float) -> float:
+        if self.kind == "const":
+            return self.const_value
+        if self.kind == "pwl":
+            return self._pwl(s_n)
+        if self.kind == "call":
+            d = s_n - self.strike
+        elif self.kind == "put":
+            d = self.strike - s_n
+        elif self.kind == "asian_call":
+            d = path_sum / n_prices - self.strike
+        else:
+            d = self.strike - path_sum / n_prices
+        return d if d > 0.0 else 0.0
+
+    def _pwl(self, x: float) -> float:
+        knots, k = self.knots, len(self.knots)
+        if x <= knots[0][0]:
+            return knots[0][1]
+        if x >= knots[k - 1][0]:
+            return knots[k - 1][1] + self.right_slope * (x - knots[k - 1][0])
+        i = 0
+        while i + 1 < k and knots[i + 1][0] <= x:
+            i += 1
+        (x0, y0), (x1, y1) = knots[i], knots[i + 1]
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+    def values(self, price: np.ndarray, path_sum: np.ndarray | None,
+               n_steps: int) -> np.ndarray:
+        """``value`` of every path of ``n_steps`` steps at once: ``price``
+        holds the terminal prices and ``path_sum`` the path sums (read
+        only when ``reads_path_sum``)."""
+        if self.kind == "const":
+            return np.full(price.shape, self.const_value)
+        if self.kind == "pwl":
+            return self._pwl_values(price)
+        if self.kind == "call":
+            d = price - self.strike
+        elif self.kind == "put":
+            d = self.strike - price
+        elif self.kind == "asian_call":
+            d = path_sum / float(n_steps + 1) - self.strike
+        elif self.kind == "asian_put":
+            d = self.strike - path_sum / float(n_steps + 1)
+        else:
+            raise ValidationError("path-table payoff has no formula")
+        d[~(d > 0.0)] = 0.0
+        return d
+
+    def _pwl_values(self, x: np.ndarray) -> np.ndarray:
+        xs = np.array([x for x, _ in self.knots])
+        ys = np.array([y for _, y in self.knots])
+        k = xs.size
+        tail = ys[k - 1] + self.right_slope * (x - xs[k - 1])
+        if k > 1:
+            i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, k - 2)
+            inner = ys[i] + (ys[i + 1] - ys[i]) * (x - xs[i]) \
+                / (xs[i + 1] - xs[i])
+            tail = np.where(x >= xs[k - 1], tail, inner)
+        return np.where(x <= xs[0], ys[0], tail)
 
     def terminal_value(self, x: float) -> float:
         """Evaluate payoffs that depend only on the terminal price."""
         if self.kind not in ("const", "call", "put", "pwl"):
             raise ValidationError(
                 f"{self.kind} payoff is not a function of the terminal price")
-        code, pa, pxs, pys = self.kernel_encoding(1)
-        return _tree_py.payoff_value(code, pa, pxs, pys, x, 0.0, 1.0)
+        return self._formula(x, 0.0, 1.0)
 
     @property
     def is_convex(self) -> bool:
@@ -167,6 +222,8 @@ class SearchConfig:
         if self.mode not in ("discrete_exhaustive", "grid", "coordinate_ascent"):
             raise ValidationError(f"unknown search mode {self.mode!r}")
         lo, hi = self.eps_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValidationError("eps_range bounds must be finite")
         if not lo < 0 < hi:
             raise ValidationError("eps_range must straddle zero")
         if self.grid_points < 3:
@@ -249,8 +306,8 @@ def _ascent(model: EvolutionModel, payoff: Payoff, dn_cands, up_cands,
         return [cands[s] if s == st else [cands[s][state[s][k]]]
                 for s in range(n)]
 
-    best = float(_engine.values(model, [[c[0] for c in dn_cands]],
-                                [[c[0] for c in up_cands]], payoff)[0])
+    best = _engine.value(model, [c[0] for c in dn_cands],
+                         [c[0] for c in up_cands], payoff)
     for _ in range(config.max_rounds):
         round_start = best
         for st in range(n):
@@ -351,8 +408,8 @@ def _check_params(s0: float, a_list: Sequence[float], strike: float) -> None:
     # closed forms admit a = 0 (estimated exposures can vanish)
     if not s0 > 0:
         raise ValidationError("s0 must be positive")
-    if not strike > 0:
-        raise ValidationError("strike must be positive")
+    if not 0 < strike < math.inf:
+        raise ValidationError("strike must be positive and finite")
     if not a_list:
         raise ValidationError("need at least one exposure coefficient")
     for a in a_list:

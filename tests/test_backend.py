@@ -10,7 +10,7 @@ from superhedge import (EvolutionModel, Payoff, SearchConfig, ShockAtom,
                         SpotMeasure, StepSpec, VolatilitySpec,
                         brute_sup_selections, spot_expectation,
                         superhedge_sup)
-from superhedge import _engine, _tree_py, measures, oracle, pricing
+from superhedge import _engine, measures, oracle, pricing
 from superhedge.measures import all_selections, spot_tree_value
 from superhedge.model import enumerate_paths
 
@@ -55,16 +55,15 @@ def arch_chain(n):
 def walk_drift(m, sel):
     """max_node_drift by a depth-first scalar walk over every node."""
     eps_dn, eps_up = measures._selection_eps(m, sel)
-    vk, vp = m.kernel_vol_arrays()
     worst = 0.0
 
     def rec(level, price, sigma_prev, eps_prev):
         nonlocal worst
         if level == m.n_steps:
             return
-        sigma = (_tree_py.sigma_initial(vk[0], vp[0]) if level == 0 else
-                 _tree_py.sigma_next(vk[level], vp[level], sigma_prev,
-                                     eps_prev))
+        vol = m.steps[level].vol
+        sigma = (vol.initial_sigma() if level == 0 else
+                 vol.next_sigma(sigma_prev, eps_prev))
         ed = math.exp(sigma * eps_dn[level])
         eu = math.exp(sigma * eps_up[level])
         psi_d = (eu - 1.0) / (eu - ed)
@@ -106,16 +105,6 @@ class TestEngineAgainstOracle:
                 res = superhedge_sup(m, payoff, config)
                 assert res.value == value
                 assert res.selection.pairs == sel.pairs
-
-    def test_batch_equals_single_trees(self):
-        m = random_model(7, n_max=4, vol_kinds=("garch11",))
-        sels = list(all_selections(m))
-        eps = [measures._selection_eps(m, s) for s in sels]
-        for payoff in payoffs_for(m)[:6]:
-            batch = _engine.values(m, [e[0] for e in eps],
-                                   [e[1] for e in eps], payoff)
-            for sel, v in zip(sels, batch.tolist()):
-                assert v == oracle_value(m, sel, payoff)
 
     def test_first_selection_wins_ties(self):
         m = random_model(11, vol_kinds=ALL_VOLS)
@@ -376,37 +365,42 @@ class TestSaturation:
 
 
 class TestPayoffEvaluation:
+    PWL = Payoff.piecewise_linear([(0.0, 10.0), (50.0, 0.0), (100.0, 30.0)],
+                                  2.0)
+
     def test_pwl_interpolation(self):
-        xs = [0.0, 50.0, 100.0]
-        ys = [10.0, 0.0, 30.0]
-        val = _tree_py.payoff_value(5, 2.0, xs, ys, 75.0, 0.0, 1.0)
+        val = self.PWL.terminal_value(75.0)
         assert val == pytest.approx(15.0, rel=1e-15)
         # beyond the last knot the tail slope applies
-        val = _tree_py.payoff_value(5, 2.0, xs, ys, 110.0, 0.0, 1.0)
+        val = self.PWL.terminal_value(110.0)
         assert val == pytest.approx(50.0, rel=1e-15)
 
-    def test_payoff_object_matches_kernel_codes(self):
+    def test_payoff_object_matches_formulas(self):
         prices = (100.0, 80.0, 130.0)
-        for payoff in (Payoff.call(90.0), Payoff.put(90.0),
-                       Payoff.asian_call(95.0), Payoff.asian_put(110.0),
-                       Payoff.constant(2.0)):
-            code, pa, pxs, pys = payoff.kernel_encoding(2)
-            path_sum = 0.0
-            for p in prices:
-                path_sum += p
-            direct = _tree_py.payoff_value(code, pa, pxs, pys, prices[-1],
-                                           path_sum, 3.0)
+        path_sum = 0.0
+        for p in prices:
+            path_sum += p
+        mean = path_sum / 3.0
+        for payoff, direct in ((Payoff.call(90.0), max(130.0 - 90.0, 0.0)),
+                               (Payoff.put(90.0), max(90.0 - 130.0, 0.0)),
+                               (Payoff.asian_call(95.0), max(mean - 95.0, 0.0)),
+                               (Payoff.asian_put(110.0),
+                                max(110.0 - mean, 0.0)),
+                               (Payoff.constant(2.0), 2.0)):
             assert payoff.value(prices) == direct
 
     def test_coded_values_match_scalar(self):
+        # paths of 3 steps: 4 prices
         x = np.array([0.0, 10.0, 49.9, 50.0, 75.0, 100.0, 130.0, math.inf])
         psum = 3.0 * x + 1.0
-        encodings = [(k, 60.0, [], []) for k in range(5)]
-        encodings.append((5, 2.0, [0.0, 50.0, 100.0], [10.0, 0.0, 30.0]))
+        payoffs = [Payoff(kind, strike=60.0, const_value=60.0)
+                   for kind in ("const", "call", "put", "asian_call",
+                                "asian_put")]
+        payoffs.append(self.PWL)
         with np.errstate(all="ignore"):
-            for enc in encodings:
-                got = _engine._coded_values(enc, x, psum, 4.0)
-                want = [_tree_py.payoff_value(*enc, float(v), float(s), 4.0)
+            for payoff in payoffs:
+                got = payoff.values(x, psum, 3)
+                want = [payoff._formula(float(v), float(s), 4.0)
                         for v, s in zip(x, psum)]
                 assert np.array_equal(got, want, equal_nan=True)
 

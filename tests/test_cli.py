@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -21,6 +22,17 @@ def model_file(tmp_path):
     path = tmp_path / "two_step.json"
     path.write_text(json.dumps(TWO_STEP))
     return str(path)
+
+
+def fails_with_one_line(capsys, argv, message):
+    """``main(argv)`` exits 1 with one stderr line holding ``message`` and
+    no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestPrice:
@@ -123,6 +135,29 @@ class TestPrice:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--eps-range=-inf,inf"], "eps_range bounds must be finite"),
+        (["--eps-range=-1,nan"], "eps_range bounds must be finite"),
+        (["--strike", "inf"], "strike must be positive and finite"),
+        (["--strike", "nan"], "strike must be positive and finite"),
+    ], ids=["eps-inf", "eps-nan", "strike-inf", "strike-nan"])
+    def test_non_finite_arguments_exit_one(self, model_file, capsys, argv,
+                                           message):
+        base = ["price", "--model", model_file, "--payoff", "call",
+                "--strike", "30", "--method", "grid"]
+        fails_with_one_line(capsys, base + argv, message)
+
+    def test_non_utf8_files_exit_one(self, model_file, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes('{"s0": 100.0} \u00e9'.encode("latin-1"))
+        for argv in (["price", "--model", str(bad), "--payoff", "call",
+                      "--strike", "30", "--method", "closed"],
+                     ["decompose", "--model", model_file, "--surface",
+                      str(bad)],
+                     ["estimate", "--prices", str(bad), "--statistic",
+                      "constant_one"]):
+            fails_with_one_line(capsys, argv, "not valid UTF-8")
+
     def test_unknown_flag_exits_one(self, model_file):
         with pytest.raises(SystemExit) as exc:
             main(["price", "--model", model_file, "--payoff", "call",
@@ -184,6 +219,17 @@ class TestVerify:
         assert report["max_normalization_residual"] <= 1e-10
         assert report["max_drift_residual"] <= 1e-10
         assert report["equivalent"] is True
+
+    def test_overflowing_exponential_exits_one(self, tmp_path, capsys):
+        # sigma * eps = 800: e^{800} overflows, so psi would be NaN
+        doc = json.loads(json.dumps(TWO_STEP))
+        for step in doc["steps"]:
+            step["vol"]["sigma"] = 40.0
+            step["shocks"][1]["eps"] = 20.0
+        path = tmp_path / "saturating.json"
+        path.write_text(json.dumps(doc))
+        fails_with_one_line(capsys, ["verify", "--model", str(path)],
+                            "overflows at step 1")
 
 
 class TestDecompose:

@@ -10,6 +10,7 @@ from superhedge import (AtomPairSelection, EvolutionModel,
                         integral_representation_check, measure_expectation,
                         mixture_density, psi_weights, random_alpha,
                         sigma_at, spot_expectation, verify_martingale)
+from superhedge import _engine
 from superhedge._rng import SplitMix64
 from superhedge.measures import (Lattice, all_selections, history_at,
                                  history_index, selection_count)
@@ -282,6 +283,27 @@ class TestVerifyMartingale:
         assert not report.passed
         assert any(f[0] == 1 and f[1] == () for f in report.failures)
 
+    def test_nan_cell_fails(self):
+        m = small_model(1)
+        density = mixture_density(m, random_alpha(m, 1))
+        psi = tuple(p.copy() for p in density.psi)
+        psi[-1][-1, -1] = math.nan
+        report = verify_martingale(m, MeasureDensity(m, psi), tol=1e-9)
+        assert report.passed is False
+        assert math.isnan(report.max_norm_residual)
+        assert not report.equivalent
+
+    def test_overflowing_exponential_rejected(self):
+        # e^{40 * 20} overflows at step 1
+        m = EvolutionModel(100.0, tuple(
+            StepSpec(a, (ShockAtom(-0.7, 0.5), ShockAtom(20.0, 0.5)),
+                     VolatilitySpec.constant(40.0)) for a in (0.5, 0.8)))
+        with np.errstate(all="raise"):
+            with pytest.raises(ValidationError, match="overflows at step 1"):
+                mixture_density(m, random_alpha(m, 1))
+            with pytest.raises(ValidationError, match="overflows at step 1"):
+                SpotMeasure(m, next(all_selections(m))).as_density()
+
     def test_spot_density_distinguishes_equivalence(self):
         m = small_model(2)
         spot = SpotMeasure(m, next(all_selections(m)))
@@ -319,6 +341,25 @@ class TestIntegralRepresentation:
             for payoff in (sn, Payoff.call(m.s0), Payoff.asian_put(m.s0)):
                 assert integral_representation_check(m, alphas, payoff) \
                     <= 1e-12
+
+    def test_callables_match_coded_payoffs(self, monkeypatch):
+        # a callable reads the lattice's price paths: bit for bit the coded
+        # result, also when the paths come in several blocks
+        for seed, chunk in ((0, None), (3, None), (5, 5), (8, 5)):
+            if chunk is not None:
+                monkeypatch.setattr(_engine, "CHUNK_LEAVES", chunk)
+            m = random_model(seed, vol_kinds=("constant", "arch1", "garch11"))
+            density = mixture_density(m, random_alpha(m, seed))
+            s0 = m.s0
+            for payoff in (Payoff.constant(2.5), Payoff.call(s0),
+                           Payoff.put(1.2 * s0), Payoff.asian_call(0.9 * s0),
+                           Payoff.asian_put(1.1 * s0),
+                           Payoff.piecewise_linear(
+                               [(0.0, 0.3 * s0), (0.5 * s0, 0.1 * s0),
+                                (s0, 0.2 * s0)], 1.0)):
+                assert measure_expectation(m, density, payoff) \
+                    == measure_expectation(m, density,
+                                           lambda p: payoff.value(p))
 
     def test_table_payoff_round_trip(self):
         m = small_model(6, n_max=2)
