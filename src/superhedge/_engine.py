@@ -1,20 +1,15 @@
 """Batched spot-tree engine: the one implementation of the spot-tree walk.
 
 A spot measure picks one (down, up) shock pair per step and induces a
-weighted binary tree.  At a node with volatility ``sigma`` the branch
-weights and the price moves are
-
-    psi_down = (e^{sigma*eps_up} - 1) / (e^{sigma*eps_up} - e^{sigma*eps_dn})
-    psi_up   = (1 - e^{sigma*eps_dn}) / (same denominator)
-    S_child  = S * (1 + a * (e^{sigma*eps} - 1))
-
-and where ``e^{sigma*eps_up}`` saturates to inf the weights are the exact
-limit (1, 0).  A tree's value is the sum over its leaves of weight times
-payoff; a branch of weight exactly 0 is pruned with everything below it.
-The volatility recursion is ``VolatilitySpec``'s (``next_sigmas``).  A
-``Payoff`` with a formula values the leaves of a level at once
-(``Payoff.values``); path-table payoffs and plain callables receive each
-leaf's price path and atom indices.
+weighted binary tree.  At a node with volatility ``sigma`` the price moves
+to ``S * (1 + a * (e^{sigma*eps} - 1))`` with the weights of
+``model._branch_weights``, (1, 0) where ``e^{sigma*eps_up}`` saturates to
+inf; equal exponentials at a live node raise ZeroDivisionError.  A tree's
+value is the sum over its leaves of weight times payoff; a branch of weight
+exactly 0 is pruned with everything below it.  The volatility recursion is
+``VolatilitySpec``'s (``next_sigmas``).  A ``Payoff`` with a formula values
+the leaves of a level at once (``Payoff.values``); path-table payoffs and
+plain callables receive each leaf's price path and atom indices.
 
 The engine evaluates many trees level by level.  A level holds
 ``[rows, 2**level]`` arrays of node price, weight, path sum and
@@ -24,8 +19,8 @@ spell its path.  ``value`` evaluates one tree given by its shocks.
 ``scan``, ``scan_min`` and ``scan_values`` run over every
 combination of per-step candidate pairs in lexicographic order (step 0
 most significant, down candidate the major index within a step); rows
-that share a prefix share its nodes.  ``max_drift`` gives one tree's
-largest relative one-step drift over its nodes.
+that share a prefix share its nodes.  ``max_drift`` gives the largest
+relative one-step drift over the nodes of the tree ``value`` evaluates.
 
 Results are bit-identical to a depth-first scalar walk (``oracle``
 re-derives them leaf by leaf) because:
@@ -38,8 +33,9 @@ re-derives them leaf by leaf) because:
   into NaN;
 * a maximum takes the first argmax, the strict ``>`` rule of a sequential
   scan, and NaN never wins a maximum or a minimum;
-* exponentials come from ``math.exp``, once per distinct argument
-  (``np.exp`` differs from it in the last bit on some inputs).
+* exponentials come from ``math.exp`` (``model._saturating_exp``), once
+  per distinct argument (``np.exp`` differs from it in the last bit on
+  some inputs).
 
 Work is cut into blocks of at most ``CHUNK_LEAVES`` leaves, so memory
 stays flat however many trees a scan covers and however deep a tree is: a
@@ -57,11 +53,13 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ValidationError
+from .model import _branch_weights, _saturating_exp
 
 NAME = "numpy"
 CHUNK_LEAVES = 1 << 14
 _FEW = 256         # at most this many exponentials: no de-duplication
 _INF = float("inf")
+_EQUAL_EXP = "equal e^(sigma*eps) on both branches: the weights divide by zero"
 
 
 # -- payoffs -------------------------------------------------------------
@@ -162,13 +160,6 @@ def _root(m: _Model, want_psum: bool, want_paths: bool,
                   np.zeros((1, 1), dtype=m.code_dtype) if with_atoms else None)
 
 
-def _saturating_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return _INF
-
-
 def _exp(x: np.ndarray) -> np.ndarray:
     """``math.exp`` of every element of the 1-D ``x``, once per distinct
     value; an overflow gives inf."""
@@ -196,21 +187,12 @@ class _Branch:
         e = _exp(np.concatenate((args_d.ravel(), args_u.ravel())))
         self.ed = ed = e[:args_d.size].reshape(args_d.shape)
         self.eu = eu = e[args_d.size:].reshape(args_u.shape)
-        denom = eu - ed
-        zero = denom == 0.0
-        if zero.any():
-            if nodes.live is not None:
-                zero = zero & nodes.live[:, None, :]
-            if zero.any():
-                raise ZeroDivisionError("float division by zero")
-        self.psi_d = eu - 1.0
-        self.psi_d /= denom
-        self.psi_u = 1.0 - ed
-        self.psi_u /= denom
-        saturated = eu == _INF
-        if saturated.any():
-            self.psi_d = np.where(saturated, 1.0, self.psi_d)
-            self.psi_u = np.where(saturated, 0.0, self.psi_u)
+        equal = ed == eu
+        if nodes.live is not None:
+            equal = equal & nodes.live[:, None, :]
+        if equal.any():
+            raise ZeroDivisionError(_EQUAL_EXP)
+        self.psi_d, self.psi_u = _branch_weights(ed, eu)
 
 
 def _children(shape, dtype=float) -> tuple[np.ndarray, np.ndarray,
@@ -398,19 +380,20 @@ def value(model, eps_dn, eps_up, payoff, atoms_dn=None,
                            atoms_up)
 
 
-def _drift_levels(m: _Model, pairs, level: int, stop: int, price, sigma):
-    """Grow one spot tree from the nodes of ``level`` (prices ``price``,
-    volatility ``sigma``, one value when shared) down to ``stop``: each
-    level's (prices, exponentials, their arguments), the last two shaped
-    ``[nodes | 1, 2]``, and the prices and volatilities of level ``stop``
-    (None at the leaves)."""
-    out = []
-    for level in range(level, stop):
+def _drift(m: _Model, pairs, first: int, stop: int, price, sigma):
+    """Grow one spot tree from the nodes of level ``first`` (prices
+    ``price``, volatility ``sigma``, one value when shared) down to level
+    ``stop``: the largest drift ratio over the nodes grown (at least 0),
+    and the prices and volatilities of level ``stop``."""
+    prices, exps = [], []
+    for level in range(first, stop):
         args = sigma[:, None] * pairs[level]
         e = _exp(args.ravel()).reshape(args.shape)
-        out.append((price, e, args))
+        prices.append(price)
+        exps.append(e if e.shape[0] == price.size
+                    else np.broadcast_to(e, (price.size, 2)))
         if level + 1 == m.n:
-            return out, None, None
+            break
         price = (price[:, None] * (1.0 + m.a[level] * (e - 1.0))).ravel()
         vol = m.vols[level + 1]
         if vol.kind == "constant":
@@ -420,89 +403,48 @@ def _drift_levels(m: _Model, pairs, level: int, stop: int, price, sigma):
             if sigma.size != price.size:
                 sigma = np.broadcast_to(sigma, (price.size // 2, 2))
             sigma = sigma.ravel()
-    return out, price, sigma
-
-
-def _per_node(levels, k: int) -> np.ndarray:
-    """Field ``k`` of ``_drift_levels`` output, one row per node."""
-    return np.concatenate([x[k] if x[k].shape[0] == x[0].size
-                           else np.broadcast_to(x[k], (x[0].size, 2))
-                           for x in levels])
-
-
-def _first_in_walk(n: int, level: int, node: int) -> int:
-    """Position of node ``node`` of ``level`` in a depth-first pre-order
-    walk of the internal nodes of an ``n``-step tree."""
-    pos = level
-    for i in range(level):
-        if node >> (level - 1 - i) & 1:
-            pos += (1 << (n - 1 - i)) - 1
-    return pos
+    s = np.concatenate(prices)
+    e = np.concatenate(exps)
+    ed, eu = e[:, 0], e[:, 1]
+    psi_d, psi_u = _branch_weights(ed, eu)
+    pa = s * np.repeat(m.a[first:stop], [p.size for p in prices])
+    em1 = e - 1.0
+    # a saturated up branch has weight 0 and adds no drift, not 0 * inf
+    ratio = np.abs(psi_d * (pa * em1[:, 0]) + np.where(
+        eu == _INF, 0.0, psi_u * (pa * em1[:, 1]))) / s
+    top = float(np.maximum.reduce(ratio))
+    if not math.isfinite(top):     # a failing node's ratio is inf or NaN
+        if (ed == eu).any():
+            raise ZeroDivisionError(_EQUAL_EXP)
+        if (s == 0.0).any():
+            raise ZeroDivisionError("a node price of the spot tree is 0")
+        top = float(np.fmax.reduce(ratio, initial=0.0))
+    return top, price, sigma
 
 
 def max_drift(model, eps_dn, eps_up) -> float:
     """Largest |conditional one-step drift| / node price over the nodes of
     one spot tree (``eps_dn`` / ``eps_up``: its shock pair per step), every
-    node, pruned or not; NaN ratios never win.  A depth-first scalar walk
-    fails at its first failing node, and so does this: OverflowError where
-    ``math.exp`` overflows, ZeroDivisionError at a zero denominator or a
-    zero node price."""
+    node, pruned or not.  The tree is the one ``value`` evaluates:
+    exponentials saturate to inf, a saturated up branch has the limit
+    weights (1, 0) and a drift of psi_down * S * a * (e^{sigma*eps_dn} - 1),
+    and NaN ratios (below an infinite price) never win.  ZeroDivisionError
+    where a node's two exponentials are equal (a zero weight denominator)
+    or its price is 0."""
     m = _Model(model)
     n = m.n
     pairs = [np.array(p) for p in zip(eps_dn, eps_up)]
-    worst = 0.0
-    failure = None                   # (walk position, exception type)
-
-    def judge(level0, first, levels):
-        """Fold in the nodes ``levels`` of levels ``level0, ...``, the
-        first of them node ``first`` of ``level0``."""
-        nonlocal worst, failure
-        price = np.concatenate([x[0] for x in levels])
-        a = np.repeat(m.a[level0:level0 + len(levels)],
-                      [x[0].size for x in levels])
-        e = _per_node(levels, 1)
-        em1 = e - 1.0
-        denom = e[:, 1] - e[:, 0]
-        psi_d = em1[:, 1] / denom
-        psi_u = (1.0 - e[:, 0]) / denom
-        pa = price * a
-        drift = psi_d * (pa * em1[:, 0]) + psi_u * (pa * em1[:, 1])
-        ratio = np.abs(drift) / price
-        top = float(np.maximum.reduce(ratio))
-        if not math.isfinite(top):
-            # a failing node has a NaN or infinite ratio
-            top = float(np.fmax.reduce(ratio))
-            over = ((e == _INF) & (_per_node(levels, 2) < _INF)).any(axis=1)
-            bad = over | (denom == 0.0) | (price == 0.0)
-            lo = 0
-            for i, x in enumerate(levels):
-                hit = np.flatnonzero(bad[lo:lo + x[0].size])
-                if hit.size:
-                    j = int(hit[0])
-                    pos = _first_in_walk(n, level0 + i, (first << i) + j)
-                    if failure is None or pos < failure[0]:
-                        failure = (pos, OverflowError if over[lo + j]
-                                   else ZeroDivisionError)
-                lo += x[0].size
-        if top > worst:
-            worst = top
-
     top = min(_split_level(n), n - 1)
     price = np.array([m.s0])
     sigma = np.array([m.vols[0].initial_sigma()])
+    worst = 0.0
     with np.errstate(all="ignore"):
         if top:
-            levels, price, sigma = _drift_levels(m, pairs, 0, top, price,
-                                                 sigma)
-            judge(0, 0, levels)
+            worst, price, sigma = _drift(m, pairs, 0, top, price, sigma)
         for j in range(price.size):
             s = sigma[j:j + 1] if sigma.size > 1 else sigma
-            levels, _, _ = _drift_levels(m, pairs, top, n, price[j:j + 1], s)
-            judge(top, j, levels)
-    if failure is not None:
-        if failure[1] is OverflowError:
-            raise OverflowError("math range error")
-        raise ZeroDivisionError("float division by zero")
+            worst = max(worst,
+                        _drift(m, pairs, top, n, price[j:j + 1], s)[0])
     return worst
 
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: price, interval, estimate, verify, decompose, oracle.
-Exit codes: 0 success, 1 validation failure or unreadable/unwritable file,
-2 budget/cap exceeded.
+Exit codes: 0 success, 1 validation failure, unreadable/unwritable file or
+degenerate branch weights (ZeroDivisionError), 2 budget/cap exceeded.
 Reports are JSON with floats at 17 significant digits; stdout carries a
 human-readable summary.
 """
@@ -244,15 +244,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -59,6 +59,8 @@ class SupermartingaleSurface:
                 raise ValidationError(
                     f"surface level {n} has {level.size} nodes, "
                     f"expected {math.prod(counts[:n])}")
+            if not np.isfinite(level).all():
+                raise ValidationError(f"surface level {n} is not finite")
         vmin = min(float(v.min()) for v in values)
         if floor is not None:
             if not floor > 0 or vmin < floor:
@@ -175,8 +177,8 @@ def _ratio_bound(model: EvolutionModel, surface: SupermartingaleSurface,
         xi += 1.0
         excess -= xi
         excess /= np.maximum(1.0, surface.values[n])[:, None]
-        worst = max(worst, float(excess.max()))
-        for h, j in zip(*np.nonzero(excess > tol)):
+        worst = float(np.maximum(worst, excess.max()))
+        for h, j in zip(*np.nonzero(~(excess <= tol))):
             failures.append((n + 1, history_at(counts, n, h), int(j),
                              float(excess[h, j])))
         gammas.append(gamma)
@@ -231,8 +233,8 @@ def verify_decomposition(model: EvolutionModel,
     max_g = 0.0
     for n, g_n in enumerate(decomposition.g):
         worst = float((-g_n).max())
-        max_g = max(max_g, worst)
-        if worst > tol:
+        max_g = float(np.maximum(max_g, worst))
+        if not worst <= tol:
             failures.append(f"consumption negativity at step {n + 1} "
                             f"({worst:.3e})")
     max_rec = 0.0
@@ -240,8 +242,8 @@ def verify_decomposition(model: EvolutionModel,
     for n in range(model.n_steps + 1):
         resid = float(np.abs(surface.values[n]
                              - (decomposition.M[n] - cum_g)).max())
-        max_rec = max(max_rec, resid)
-        if resid > tol:
+        max_rec = float(np.maximum(max_rec, resid))
+        if not resid <= tol:
             failures.append(f"reconstruction residual {resid:.3e} at level {n}")
         if n < model.n_steps:
             cum_g = (cum_g[:, None] + decomposition.g[n]).ravel()
@@ -254,8 +256,8 @@ def verify_decomposition(model: EvolutionModel,
             resid = np.abs(cond - decomposition.M[n]) \
                 / np.maximum(1.0, np.abs(decomposition.M[n]))
             worst = float(resid.max())
-            max_mart = max(max_mart, worst)
-            if worst > tol:
+            max_mart = float(np.maximum(max_mart, worst))
+            if not worst <= tol:
                 h = int(resid.argmax())
                 failures.append(
                     f"martingale residual {worst:.3e} under density {qi} at "

@@ -40,8 +40,8 @@ import numpy as np
 
 from . import _engine
 from .errors import CapExceededError, ValidationError
-from .model import (PATH_CAP, EvolutionModel, StepSpec, require_valid,
-                    sigma_at)
+from .model import (PATH_CAP, EvolutionModel, StepSpec, _branch_weights,
+                    _saturating_exp, require_valid, sigma_at)
 
 SELECTION_CAP = 2_000_000
 
@@ -203,15 +203,15 @@ def _atom_candidates(model: EvolutionModel):
 
 def psi_weights(model: EvolutionModel, history: Sequence[float],
                 eps_down: float, eps_up: float) -> tuple[float, float]:
-    """Risk-neutral branch weights for one sign-separated shock pair."""
+    """Risk-neutral branch weights for one sign-separated shock pair, as in
+    the spot trees: (1, 0) where e^{sigma*eps_up} saturates to inf."""
     if not (eps_down < 0.0 < eps_up):
         raise ValidationError(
             f"need eps_down < 0 < eps_up, got ({eps_down}, {eps_up})")
     sigma = sigma_at(model, len(history) + 1, history)
-    ed = math.exp(sigma * eps_down)
-    eu = math.exp(sigma * eps_up)
-    denom = eu - ed
-    return (eu - 1.0) / denom, (1.0 - ed) / denom
+    psi_d, psi_u = _branch_weights(_saturating_exp(sigma * eps_down),
+                                   _saturating_exp(sigma * eps_up))
+    return float(psi_d), float(psi_u)
 
 
 def _selection_eps(model: EvolutionModel,
@@ -256,7 +256,8 @@ class SpotMeasure:
         return spot_expectation(self.model, self.selection, payoff)
 
     def max_node_drift(self) -> float:
-        """Largest |conditional one-step drift| / node price over the tree."""
+        """Largest |conditional one-step drift| / node price over the tree
+        the engine prices (``_engine.max_drift`` states the rule)."""
         eps_dn, eps_up = _selection_eps(self.model, self.selection)
         return _engine.max_drift(self.model, eps_dn, eps_up)
 
@@ -273,10 +274,9 @@ class SpotMeasure:
             d, u = self.selection.pairs[n]
             e = lattice.finite_exp(n)
             out = np.zeros(e.shape)
-            ed, eu = e[:, d], e[:, u]
-            denom = eu - ed
-            out[:, d] = (eu - 1.0) / denom / step.shocks[d].prob
-            out[:, u] = (1.0 - ed) / denom / step.shocks[u].prob
+            psi_d, psi_u = _branch_weights(e[:, d], e[:, u])
+            out[:, d] = psi_d / step.shocks[d].prob
+            out[:, u] = psi_u / step.shocks[u].prob
             psi.append(out)
         return MeasureDensity(model, tuple(psi))
 
@@ -416,19 +416,17 @@ def mixture_density(model: EvolutionModel,
         sa = alphas.steps[n]
         probs = np.array([at.prob for at in step.shocks])
         e = lattice.finite_exp(n)
-        e_dn = e[:, list(sa.down_atoms)]               # (H, D)
-        e_up = e[:, list(sa.up_atoms)]                 # (H, U)
+        ed = e[:, list(sa.down_atoms)][:, :, None]     # (H, D, 1)
+        eu = e[:, list(sa.up_atoms)][:, None, :]       # (H, 1, U)
         del e
-        denom = e_up[:, None, :] - e_dn[:, :, None]    # (H, D, U)
-        if np.any(denom <= 0.0):
+        if np.any(eu <= ed):
             raise ValidationError(
                 f"degenerate (down, up) pair with V = 0 at step {n + 1}")
-        r_plus = (e_up[:, None, :] - 1.0) / denom
-        r_minus = (1.0 - e_dn[:, :, None]) / denom
+        r_plus, r_minus = _branch_weights(ed, eu)      # (H, D, U)
         w = np.asarray(sa.weights, dtype=float)
         pd = probs[list(sa.down_atoms)]
         pu = probs[list(sa.up_atoms)]
-        out = np.zeros((e_dn.shape[0], len(step.shocks)))
+        out = np.zeros((ed.shape[0], len(step.shocks)))
         out[:, list(sa.down_atoms)] = np.einsum("u,du,hdu->hd", pu, w, r_plus)
         out[:, list(sa.up_atoms)] = np.einsum("d,du,hdu->hu", pd, w, r_minus)
         psi.append(out)

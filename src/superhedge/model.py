@@ -19,7 +19,8 @@ Volatility recursions (an artifact choice, clamped below by ``floor``):
 
 with ``sigma_1 = max(floor, sqrt(omega0))`` at the empty history.
 ``VolatilitySpec`` holds the recursion, one value at a time and
-elementwise, in the same operation order.
+elementwise, in the same operation order; next to it, the branch weights
+of a spot pair and the saturating exponential of every walk.
 """
 
 from __future__ import annotations
@@ -133,6 +134,30 @@ class VolatilitySpec:
             if not self.floor > 0:
                 out.append(f"vol floor not positive at step {step}")
         return out
+
+
+def _saturating_exp(x: float) -> float:
+    """``math.exp(x)``; inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _branch_weights(ed, eu):
+    """Weights (psi_d, psi_u) = (eu - 1, 1 - ed) / (eu - ed) of a spot pair
+    with ``ed = e^{sigma*eps_dn}``, ``eu = e^{sigma*eps_up}`` (floats or
+    arrays that broadcast together), and the exact limit (1, 0) where
+    ``eu`` is inf.  Equal exponentials raise ZeroDivisionError for floats;
+    array callers reject them first."""
+    denom = eu - ed
+    psi_d = (eu - 1.0) / denom
+    psi_u = (1.0 - ed) / denom
+    saturated = np.equal(eu, math.inf)    # an array or a numpy bool
+    if saturated.any():
+        psi_d = np.where(saturated, 1.0, psi_d)
+        psi_u = np.where(saturated, 0.0, psi_u)
+    return psi_d, psi_u
 
 
 @dataclass(frozen=True)
@@ -276,11 +301,12 @@ def sigma_at(model: EvolutionModel, n: int, history: Sequence[float]) -> float:
 
 
 def _step_factor(a: float, sigma: float, eps: float) -> float:
-    return 1.0 + a * (math.exp(sigma * eps) - 1.0)
+    return 1.0 + a * (_saturating_exp(sigma * eps) - 1.0)
 
 
 def price_path(model: EvolutionModel, idx: PathIndex) -> Path:
-    """Realize shocks, volatilities and prices along one full path."""
+    """Realize shocks, volatilities and prices along one full path; an
+    overflowing e^{sigma*eps} saturates to inf, as in the spot trees."""
     if len(idx.atoms) != model.n_steps:
         raise ValidationError("path index length does not match model horizon")
     atoms = []
@@ -303,7 +329,8 @@ def delta_split(model: EvolutionModel, history: Sequence[float],
     """Signed price increment and its (down, up) parts for one atom.
 
     Atoms with eps <= 0 belong to the down set, so the down part is
-    max(-delta, 0) and an eps = 0 atom splits as (0, 0, 0).
+    max(-delta, 0) and an eps = 0 atom splits as (0, 0, 0).  Exponentials
+    saturate as in ``price_path``: an overflowing up move is (inf, 0, inf).
     """
     n = len(history) + 1
     _check_step(model, n, history)
@@ -311,8 +338,8 @@ def delta_split(model: EvolutionModel, history: Sequence[float],
     price = model.s0
     for step, sigma, eps in zip(model.steps, sigmas, history):
         price *= _step_factor(step.a, sigma, eps)
-    delta = price * model.steps[n - 1].a * (math.exp(sigmas[-1] * atom.eps)
-                                            - 1.0)
+    delta = price * model.steps[n - 1].a \
+        * (_saturating_exp(sigmas[-1] * atom.eps) - 1.0)
     return delta, max(-delta, 0.0), max(delta, 0.0)
 
 

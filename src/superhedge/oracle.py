@@ -30,7 +30,6 @@ from .model import EvolutionModel
 class OracleBudget:
     max_paths: int = 10_000_000
     max_selections: int = 2_000_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_paths <= 0 or self.max_selections <= 0:

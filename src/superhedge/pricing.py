@@ -60,11 +60,15 @@ class Payoff:
         if self.kind in ("call", "put", "asian_call", "asian_put"):
             if not 0 < self.strike < math.inf:
                 raise ValidationError("strike must be positive and finite")
-        if self.kind == "const" and self.const_value < 0:
-            raise ValidationError("constant payoff must be nonnegative")
+        if self.kind == "const" and not 0 <= self.const_value < math.inf:
+            raise ValidationError(
+                "constant payoff must be nonnegative and finite")
         if self.kind == "pwl":
             xs = [x for x, _ in self.knots]
             ys = [y for _, y in self.knots]
+            if not all(map(math.isfinite, xs + ys + [self.right_slope])):
+                raise ValidationError(
+                    "piecewise payoff knots and slope must be finite")
             if not xs or xs[0] != 0.0:
                 raise ValidationError("piecewise payoff needs a knot at x = 0")
             if any(b <= a for a, b in zip(xs, xs[1:])):

@@ -12,7 +12,8 @@ from superhedge import (EvolutionModel, Payoff, SearchConfig, ShockAtom,
                         superhedge_sup)
 from superhedge import _engine, measures, oracle, pricing
 from superhedge.measures import all_selections, spot_tree_value
-from superhedge.model import enumerate_paths
+from superhedge.model import (PathIndex, delta_split, enumerate_paths,
+                              price_path, simulate)
 
 from _corpus import random_model
 
@@ -53,7 +54,9 @@ def arch_chain(n):
 
 
 def walk_drift(m, sel):
-    """max_node_drift by a depth-first scalar walk over every node."""
+    """max_node_drift by a depth-first scalar walk over every node:
+    exponentials saturate to inf, a saturated up branch has the weights
+    (1, 0) and adds no drift, and a NaN ratio never wins."""
     eps_dn, eps_up = measures._selection_eps(m, sel)
     worst = 0.0
 
@@ -64,14 +67,17 @@ def walk_drift(m, sel):
         vol = m.steps[level].vol
         sigma = (vol.initial_sigma() if level == 0 else
                  vol.next_sigma(sigma_prev, eps_prev))
-        ed = math.exp(sigma * eps_dn[level])
-        eu = math.exp(sigma * eps_up[level])
-        psi_d = (eu - 1.0) / (eu - ed)
-        psi_u = (1.0 - ed) / (eu - ed)
+        ed = oracle.exp(sigma * eps_dn[level])
+        eu = oracle.exp(sigma * eps_up[level])
         a = m.steps[level].a
-        drift = psi_d * (price * a * (ed - 1.0)) \
-            + psi_u * (price * a * (eu - 1.0))
-        worst = max(worst, abs(drift) / price)
+        if eu == math.inf:
+            drift = 1.0 * (price * a * (ed - 1.0))
+        else:
+            psi_d = (eu - 1.0) / (eu - ed)
+            psi_u = (1.0 - ed) / (eu - ed)
+            drift = psi_d * (price * a * (ed - 1.0)) \
+                + psi_u * (price * a * (eu - 1.0))
+        worst = max(worst, abs(drift) / price)   # max(x, nan) is x
         rec(level + 1, price * (1.0 + a * (ed - 1.0)), sigma, eps_dn[level])
         rec(level + 1, price * (1.0 + a * (eu - 1.0)), sigma, eps_up[level])
 
@@ -195,25 +201,33 @@ class TestDrift:
                     == walk_drift(m, sel)
 
     def test_failures_match_depth_first_walk(self):
-        cases = {
+        cases = (
             # e^{-800} underflows to 0: with a = 1 the down child's price
             # is exactly 0
-            ZeroDivisionError: EvolutionModel(100.0, (
+            EvolutionModel(100.0, (
                 StepSpec(1.0, (ShockAtom(-8.0, 0.5), ShockAtom(1.0, 0.5)),
                          VolatilitySpec.constant(100.0)),) * 2),
-            # e^{800} overflows at the root
-            OverflowError: constant_chain(100.0, [0.5], 100.0, -0.7, 8.0),
-        }
-        for exc, m in cases.items():
+            # e^{sigma*eps} rounds to 1 on both branches: 0 / 0 weights
+            constant_chain(100.0, [0.5, 0.5], 1e-300, -0.7, 0.7),
+        )
+        for m in cases:
             sel = next(all_selections(m))
-            assert outcome(walk_drift, m, sel) is exc
-            with pytest.raises(exc):
+            assert outcome(walk_drift, m, sel) is ZeroDivisionError
+            with pytest.raises(ZeroDivisionError):
                 SpotMeasure(m, sel).max_node_drift()
+        # e^{800} saturates at the root: the limit weights (1, 0) leave the
+        # down branch's drift, 0.5 * (1 - e^{-70}), and e^{-70} - 1 rounds
+        # to -1
+        m = constant_chain(100.0, [0.5], 100.0, -0.7, 8.0)
+        sel = next(all_selections(m))
+        assert SpotMeasure(m, sel).max_node_drift() == walk_drift(m, sel) \
+            == 0.5
 
     def test_first_failure_in_walk_order_wins(self):
-        # the up child of the root overflows (sigma = 1001); the down
-        # child's down child, earlier in a depth-first walk but one level
-        # deeper, has price 0 (sigma = 50.2, e^{-1004} = 0, a = 1)
+        # the up child of the root saturates (sigma = 1001), which is no
+        # failure; the down child's down child, earlier in a depth-first
+        # walk but one level deeper, has price 0 (sigma = 50.2,
+        # e^{-1004} = 0, a = 1)
         m = EvolutionModel(100.0, (
             StepSpec(0.5, (ShockAtom(-0.5, 0.5), ShockAtom(100.0, 0.5)),
                      VolatilitySpec.arch1(1.0, 0.1, 0.0)),
@@ -362,6 +376,29 @@ class TestSaturation:
             assert spot_expectation(m, next(all_selections(m)),
                                     Payoff.put(150.0)) \
                 == 150.0 - 100.0 * (1.0 - 0.5) * (1.0 - 0.8)
+
+    @pytest.mark.parametrize("sigma", [40.0, 100.0, 1e308])
+    def test_drifts_and_path_walks_saturate(self, sigma):
+        # at sigma = 1e308, sigma * eps_up itself overflows to inf
+        m = constant_chain(100.0, [0.5, 0.8], sigma, -0.7, 20.0)
+        for sel in all_selections(m):
+            drift = SpotMeasure(m, sel).max_node_drift()
+            assert drift == walk_drift(m, sel)
+            # the root's saturated up branch leaves the drift of its down
+            # branch, 0.5 * (1 - e^{-0.7 sigma})
+            assert drift >= 0.5 * (1.0 - math.exp(-0.7 * sigma))
+        for idx, path in enumerate_paths(m):
+            # atom 1 is the up shock: e^{20 sigma} = inf
+            assert math.isinf(path.price_seq[-1]) == (1 in idx.atoms)
+            assert math.isfinite(path.price_seq[1]) == (idx.atoms[0] == 0)
+        for path in simulate(m, 8, 5):
+            idx = PathIndex(tuple(int(e > 0) for e in path.eps_seq))
+            assert path == price_path(m, idx)
+        up, dn = m.steps[0].shocks[1], m.steps[0].shocks[0]
+        assert delta_split(m, (), up) == (math.inf, 0.0, math.inf)
+        assert delta_split(m, (20.0,), dn) == (-math.inf, math.inf, 0.0)
+        for history in ((), (-0.7,), (20.0,)):
+            assert measures.psi_weights(m, history, -0.7, 20.0) == (1.0, 0.0)
 
 
 class TestPayoffEvaluation:

@@ -164,6 +164,20 @@ class TestPrice:
                   "--strike", "30", "--method", "closed", "--bogus"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("method", ["exhaustive", "grid"])
+    def test_degenerate_shocks_exit_one(self, tmp_path, capsys, method):
+        # sigma = 1e-300: e^{sigma*eps} rounds to 1 on both branches, so
+        # the branch weights divide by zero
+        doc = json.loads(json.dumps(TWO_STEP))
+        for step in doc["steps"]:
+            step["vol"]["sigma"] = 1e-300
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(doc))
+        fails_with_one_line(capsys, ["price", "--model", str(path),
+                                     "--payoff", "call", "--strike", "90",
+                                     "--method", method],
+                            "weights divide by zero")
+
 
 class TestInterval:
     def test_point_interval(self, model_file, tmp_path):

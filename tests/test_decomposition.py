@@ -274,3 +274,32 @@ class TestSurfaceHandling:
             surface_from_nodes(m, 1.0, nodes)
         surface = surface_from_nodes(m, 0.25, nodes)
         assert surface.value((0,)) == 0.5
+
+    def test_non_finite_values_rejected(self):
+        m = two_point_model(100.0, 0.5, 1.0, 0.7)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="level 1"):
+                SupermartingaleSurface.from_values(m, [[5.0], [bad, 4.0]])
+
+    def test_nan_fails_every_check(self):
+        # a NaN node built past from_values: the maxima propagate it and
+        # every check fails
+        m = two_point_model(100.0, 0.5, 1.0, 0.7)
+        nan_surface = SupermartingaleSurface(
+            m, (np.array([5.0]), np.array([math.nan, 4.0])), 4.0)
+        rep = check_ratio_bound(m, nan_surface)
+        assert math.isnan(rep.max_scaled_excess) and not rep.passed
+        assert rep.failures
+        with pytest.raises(ValidationError, match="ratio bound"):
+            optional_decompose(m, nan_surface)
+        flat = SupermartingaleSurface.from_values(m, [[5.0], [5.0, 5.0]])
+        dec = optional_decompose(m, flat)
+        density = mixture_density(m, random_alpha(m, 1))
+        nan_dec = Decomposition(m, dec.gamma, dec.xi0,
+                                (np.array([[math.nan, 0.0]]),),
+                                (dec.M[0], np.array([math.nan, 5.0])))
+        rep = verify_decomposition(m, flat, nan_dec, [density])
+        assert math.isnan(rep.max_g_violation)
+        assert math.isnan(rep.max_reconstruction_residual)
+        assert math.isnan(rep.max_martingale_residual)
+        assert len(rep.failures) == 3 and not rep.passed

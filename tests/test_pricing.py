@@ -260,3 +260,17 @@ class TestIntervals:
     def test_unsupported_kind(self):
         with pytest.raises(ValidationError):
             non_arbitrage_interval(100.0, (0.5,), Payoff.constant(1.0))
+
+
+class TestPayoffValidation:
+    @pytest.mark.parametrize("build", [
+        lambda v: Payoff.constant(v),
+        lambda v: Payoff.piecewise_linear([(0.0, v)], 1.0),
+        lambda v: Payoff.piecewise_linear([(0.0, 1.0), (v, 2.0)], 1.0),
+        lambda v: Payoff.piecewise_linear([(0.0, 1.0)], v),
+    ], ids=["const", "knot-value", "knot-position", "right-slope"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, build, value):
+        with pytest.raises(ValidationError, match="finite"):
+            build(value)
+        build(1.5)
