@@ -30,9 +30,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measures import (Lattice, MeasureDensity, history_at, history_index,
+from .measures import (MeasureDensity, history_at, history_index,
                        verify_martingale)
-from .model import EvolutionModel, _number, _require, require_valid
+from .model import (EvolutionModel, _check_step, _number, _require,
+                    require_valid)
 
 RATIO_TOL_DEFAULT = 1e-10
 _SHIFT_PAD = 1e-3
@@ -82,7 +83,7 @@ class SupermartingaleSurface:
                             ) -> "SupermartingaleSurface":
         """Build a surface by evaluating fn on every price prefix
         (S_0, ..., S_n), level by level, in row-major order."""
-        lattice = Lattice(model)
+        lattice = model.lattice
         levels = []
         for n, level in enumerate(lattice.price):
             vals = np.empty(level.size)
@@ -136,23 +137,20 @@ class DecompositionReport:
 def gamma_step(model: EvolutionModel, surface: SupermartingaleSurface,
                n: int, history_atoms: Sequence[int]) -> float:
     """inf over strictly-down atoms of (1 - f_n/f_{n-1}) / dS_n^-."""
-    if not 1 <= n <= model.n_steps:
-        raise ValidationError(f"step index {n} out of range")
-    if len(history_atoms) != n - 1:
-        raise ValidationError("history length does not match step index")
+    _check_step(model, n, history_atoms)
     flat = history_index(model.atom_counts(), history_atoms)
-    return float(_level(Lattice(model), surface, n - 1)[2][flat])
+    return float(_level(model, surface, n - 1)[2][flat])
 
 
-def _level(lattice: Lattice, surface: SupermartingaleSurface, n: int
+def _level(model: EvolutionModel, surface: SupermartingaleSurface, n: int
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """dS_{n+1} and f_{n+1}/f_n per (length-n prefix, atom), and
     gamma_n per prefix."""
-    downs = list(lattice.model.strict_down_indices(n + 1))
+    downs = model.strict_down_indices(n + 1)
     if not downs:
         raise ValidationError(f"step {n + 1} has no strictly-down atom")
-    delta = lattice.delta(n)
-    ratios = surface.values[n + 1].reshape(-1, lattice.counts[n]) \
+    delta = model.lattice.delta(n)
+    ratios = surface.values[n + 1].reshape(-1, len(model.steps[n].shocks)) \
         / surface.values[n][:, None]
     gamma = reduce(np.minimum, ((1.0 - ratios[:, j]) / -delta[:, j]
                                 for j in downs))
@@ -164,13 +162,12 @@ def _ratio_bound(model: EvolutionModel, surface: SupermartingaleSurface,
                                       RatioBoundReport]:
     """gamma and xi0 of every step, and the ratio-bound report."""
     require_valid(model)
-    lattice = Lattice(model)
-    counts = lattice.counts
+    counts = model.atom_counts()
     gammas, xi0 = [], []
     worst = 0.0
     failures = []
     for n in range(model.n_steps):
-        xi, excess, gamma = _level(lattice, surface, n)
+        xi, excess, gamma = _level(model, surface, n)
         # in place, so no grid of the level is held twice:
         # xi0 = 1 + gamma dS, (ratio - xi0) / max(1, f_{n-1})
         xi *= gamma[:, None]
@@ -224,7 +221,7 @@ def verify_decomposition(model: EvolutionModel,
                          densities: Sequence[MeasureDensity],
                          tol: float = 1e-10) -> DecompositionReport:
     """Check consumption sign, reconstruction, and the martingale property
-    of M under each supplied density."""
+    of M under each supplied density, after re-verifying each density."""
     for i, q in enumerate(densities):
         if not verify_martingale(model, q, tol).passed:
             raise ValidationError(f"density {i} fails the martingale checks")
@@ -240,13 +237,17 @@ def verify_decomposition(model: EvolutionModel,
     max_rec = 0.0
     cum_g = np.array([0.0])
     for n in range(model.n_steps + 1):
-        resid = float(np.abs(surface.values[n]
-                             - (decomposition.M[n] - cum_g)).max())
+        # |f_n - (M_n - cum_g)| in cum_g's buffer, once the next is built
+        t = cum_g
+        if n < model.n_steps:
+            cum_g = (cum_g[:, None] + decomposition.g[n]).ravel()
+        np.subtract(decomposition.M[n], t, out=t)
+        np.subtract(surface.values[n], t, out=t)
+        resid = float(np.abs(t, out=t).max())
         max_rec = float(np.maximum(max_rec, resid))
         if not resid <= tol:
             failures.append(f"reconstruction residual {resid:.3e} at level {n}")
-        if n < model.n_steps:
-            cum_g = (cum_g[:, None] + decomposition.g[n]).ravel()
+    del t, cum_g      # a full-size grid the martingale pass does not need
     max_mart = 0.0
     for qi, q in enumerate(densities):
         for n in range(model.n_steps):

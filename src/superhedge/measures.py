@@ -78,13 +78,15 @@ class Lattice:
     """The tree of history prefixes on which densities, expectations and
     the decomposition live, one row-major level per prefix length:
     ``sigma[n]`` (step n + 1's volatility, bit for bit ``sigma_at``),
-    ``price[n]`` (S_n), and per (prefix, atom) ``exp(n)`` (e^{sigma eps},
-    not kept) and ``delta(n)`` (dS_{n+1}), each built in the buffer of its
+    ``price[n]`` (S_n), and per (prefix, atom) ``exp(n)`` (e^{sigma eps})
+    and ``delta(n)`` (dS_{n+1}), each built in the buffer of its
     exponentials so that a level's grid is held once.  ``paths(n)`` walks
-    the price and atom paths of the length-n prefixes."""
+    the price and atom paths of the length-n prefixes.  Each model holds
+    one (``EvolutionModel.lattice``): ``sigma`` and ``price`` are kept and
+    read-only, and the lattice holds no reference to the model."""
 
     def __init__(self, model: EvolutionModel):
-        self.model = model
+        self.s0, self.a = model.s0, model.a_list
         self.counts = model.atom_counts()
         self.eps = [np.array([at.eps for at in s.shocks]) for s in model.steps]
         sigma = [np.array([model.steps[0].vol.initial_sigma()])]
@@ -96,38 +98,38 @@ class Lattice:
             else:
                 sigma.append(vol.next_sigmas(prev,
                                              prev * self.eps[n - 1]).ravel())
-        self.sigma = sigma
+        for level in sigma:
+            level.setflags(write=False)
+        self.sigma = tuple(sigma)
 
     def exp(self, n: int) -> np.ndarray:
+        """e^{sigma eps}; an overflow is a ValidationError naming the step."""
         x = np.outer(self.sigma[n], self.eps[n])
-        return np.exp(x, out=x)
+        with np.errstate(over="ignore"):
+            np.exp(x, out=x)
+        if np.isinf(x).any():
+            raise ValidationError(f"e^(sigma*eps) overflows at step {n + 1}")
+        return x
 
     @cached_property
-    def price(self) -> list[np.ndarray]:
-        prices = [np.array([self.model.s0])]
-        for n, step in enumerate(self.model.steps):
+    def price(self) -> tuple[np.ndarray, ...]:
+        prices = [np.array([self.s0])]
+        for n, a in enumerate(self.a):
             f = self.exp(n)               # S * (1 + a * (e - 1))
             f -= 1.0
-            f *= step.a
+            f *= a
             f += 1.0
             f *= prices[-1][:, None]
             prices.append(f.ravel())
-        return prices
+        for level in prices:
+            level.setflags(write=False)
+        return tuple(prices)
 
     def delta(self, n: int) -> np.ndarray:
         d = self.exp(n)                   # (S * a) * (e - 1)
         d -= 1.0
-        d *= self.price[n][:, None] * self.model.steps[n].a
+        d *= self.price[n][:, None] * self.a[n]
         return d
-
-    def finite_exp(self, n: int) -> np.ndarray:
-        """``exp(n)``; an overflow is a ValidationError naming the step."""
-        with np.errstate(over="ignore"):
-            e = self.exp(n)
-        if np.isinf(e).any():
-            raise ValidationError(
-                f"e^(sigma*eps) overflows at step {n + 1}")
-        return e
 
     def paths(self, n: int) -> Iterator[tuple[int, Iterator, Iterator]]:
         """The length-``n`` prefixes in row-major order, in blocks of at
@@ -268,17 +270,29 @@ class SpotMeasure:
         equivalence check while passing normalization and drift.
         """
         model = self.model
-        lattice = Lattice(model)
         psi = []
         for n, step in enumerate(model.steps):
             d, u = self.selection.pairs[n]
-            e = lattice.finite_exp(n)
-            out = np.zeros(e.shape)
-            psi_d, psi_u = _branch_weights(e[:, d], e[:, u])
-            out[:, d] = psi_d / step.shocks[d].prob
-            out[:, u] = psi_u / step.shocks[u].prob
+            psi_d, psi_u = _pair_weights(model.lattice, n, [d], [u])
+            out = np.zeros((psi_d.shape[0], len(step.shocks)))
+            out[:, d] = psi_d[:, 0, 0] / step.shocks[d].prob
+            out[:, u] = psi_u[:, 0, 0] / step.shocks[u].prob
             psi.append(out)
         return MeasureDensity(model, tuple(psi))
+
+
+def _pair_weights(lattice: Lattice, n: int, downs: list[int],
+                  ups: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Branch weights (psi_d, psi_u) of step n + 1 per (length-n prefix,
+    down atom, up atom); equal exponentials (V = 0) are a ValidationError."""
+    e = lattice.exp(n)
+    ed = e[:, downs][:, :, None]                  # (H, D, 1)
+    eu = e[:, ups][:, None, :]                    # (H, 1, U)
+    del e
+    if np.any(eu <= ed):
+        raise ValidationError(
+            f"degenerate (down, up) pair with V = 0 at step {n + 1}")
+    return _branch_weights(ed, eu)
 
 
 # -- alpha densities ------------------------------------------------------
@@ -410,23 +424,16 @@ def mixture_density(model: EvolutionModel,
     # one cell per (prefix, atom): the prefixes of lengths 1..N
     if sum(itertools.accumulate(model.atom_counts(), operator.mul)) > PATH_CAP:
         raise CapExceededError("density storage exceeds the path cap")
-    lattice = Lattice(model)
     psi: list[np.ndarray] = []
     for n, step in enumerate(model.steps):
         sa = alphas.steps[n]
         probs = np.array([at.prob for at in step.shocks])
-        e = lattice.finite_exp(n)
-        ed = e[:, list(sa.down_atoms)][:, :, None]     # (H, D, 1)
-        eu = e[:, list(sa.up_atoms)][:, None, :]       # (H, 1, U)
-        del e
-        if np.any(eu <= ed):
-            raise ValidationError(
-                f"degenerate (down, up) pair with V = 0 at step {n + 1}")
-        r_plus, r_minus = _branch_weights(ed, eu)      # (H, D, U)
+        r_plus, r_minus = _pair_weights(model.lattice, n, list(sa.down_atoms),
+                                        list(sa.up_atoms))   # (H, D, U)
         w = np.asarray(sa.weights, dtype=float)
         pd = probs[list(sa.down_atoms)]
         pu = probs[list(sa.up_atoms)]
-        out = np.zeros((ed.shape[0], len(step.shocks)))
+        out = np.zeros((r_plus.shape[0], len(step.shocks)))
         out[:, list(sa.down_atoms)] = np.einsum("u,du,hdu->hd", pu, w, r_plus)
         out[:, list(sa.up_atoms)] = np.einsum("d,du,hdu->hu", pd, w, r_minus)
         psi.append(out)
@@ -443,7 +450,7 @@ def measure_expectation(model: EvolutionModel, density: MeasureDensity,
     for n, step in enumerate(model.steps):
         probs = np.array([at.prob for at in step.shocks])
         weights = (weights[:, None] * (probs[None, :] * density.psi[n])).ravel()
-    lattice = Lattice(model)
+    lattice = model.lattice
     formula = _engine.formula(payoff)
     if formula is not None:
         prices = lattice.price
@@ -486,7 +493,7 @@ def verify_martingale(model: EvolutionModel, density: MeasureDensity,
     martingale checks while failing equivalence.  A NaN residual is a
     failure, and the maxima propagate it.
     """
-    lattice = Lattice(model)
+    lattice = model.lattice
     counts = lattice.counts
     max_norm = 0.0
     max_drift = 0.0

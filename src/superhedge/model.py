@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -189,6 +190,12 @@ class EvolutionModel:
 
     def atom_counts(self) -> tuple[int, ...]:
         return tuple(len(s.shocks) for s in self.steps)
+
+    @cached_property
+    def lattice(self):
+        """The ``measures.Lattice`` of this model, built once, kept with it."""
+        from .measures import Lattice   # measures imports this module
+        return Lattice(self)
 
     def path_count(self) -> int:
         return math.prod(self.atom_counts()) if self.steps else 0

@@ -272,6 +272,23 @@ class TestDecompose:
         assert all(a["g"] >= -1e-12 for n in report["nodes"]
                    for a in n.get("atoms", []))
 
+    def test_overflowing_exponential_exits_one(self, tmp_path, capsys):
+        # one step with sigma * eps = 800: e^{800} overflows, and the
+        # consumption after the up move would be inf
+        doc = json.loads(json.dumps(TWO_STEP))
+        doc["steps"] = doc["steps"][:1]
+        doc["steps"][0]["vol"]["sigma"] = 40.0
+        doc["steps"][0]["shocks"][1]["eps"] = 20.0
+        model = tmp_path / "saturating.json"
+        model.write_text(json.dumps(doc))
+        surface = tmp_path / "surface.json"
+        surface.write_text(json.dumps({"floor": 1.0, "nodes": [
+            {"history": h, "value": v}
+            for h, v in (([], 5.0), ([0], 2.0), ([1], 5.0))]}))
+        fails_with_one_line(capsys, ["decompose", "--model", str(model),
+                                     "--surface", str(surface)],
+                            "overflows at step 1")
+
     def test_missing_prefix_rejected(self, model_file, tmp_path):
         surface = tmp_path / "surface.json"
         surface.write_text(json.dumps(

@@ -1,19 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from superhedge import (Decomposition, EvolutionModel, ShockAtom, StepSpec,
-                        SupermartingaleSurface, ValidationError,
+from superhedge import (Decomposition, EvolutionModel, Payoff, ShockAtom,
+                        StepSpec, SupermartingaleSurface, ValidationError,
                         VolatilitySpec, check_ratio_bound, gamma_step,
-                        mixture_density, optional_decompose, random_alpha,
-                        verify_decomposition)
+                        measure_expectation, mixture_density,
+                        optional_decompose, random_alpha,
+                        verify_decomposition, verify_martingale)
 from superhedge import _engine
+from superhedge._rng import SplitMix64
 from superhedge.decomposition import surface_from_nodes
-from superhedge.measures import Lattice, SpotMeasure, all_selections
+from superhedge.measures import (Lattice, SpotMeasure, all_selections,
+                                 history_at)
 
-from _corpus import (chain_model, random_model, two_point_model,
-                     wealth_surface)
+from _corpus import (chain_model, random_model, random_step,
+                     two_point_model, wealth_surface)
 
 LN2 = math.log(2.0)
 
@@ -303,3 +307,104 @@ class TestSurfaceHandling:
         assert math.isnan(rep.max_reconstruction_residual)
         assert math.isnan(rep.max_martingale_residual)
         assert len(rep.failures) == 3 and not rep.passed
+
+
+def bits(obj):
+    """An image of ``obj`` that tells apart any two bit patterns of its
+    floats and arrays (models are left out)."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, EvolutionModel):
+        return None
+    if dataclasses.is_dataclass(obj):
+        return tuple(bits(getattr(obj, f.name))
+                     for f in dataclasses.fields(obj))
+    if isinstance(obj, (list, tuple)):
+        return tuple(bits(x) for x in obj)
+    return obj
+
+
+class TestOneLatticePerModel:
+    @staticmethod
+    def pipeline(m):
+        """The calls of the family pipeline on one model (mixture density,
+        martingale check, expectations, surface, ratio bound,
+        decomposition and its check, gamma_step), each taking the model."""
+        alphas = random_alpha(m, 3)
+        density = mixture_density(m, alphas)
+        surface = min_surface(m)
+        dec = optional_decompose(m, surface)
+        return [
+            lambda m: mixture_density(m, alphas),
+            lambda m: verify_martingale(m, density),
+            lambda m: measure_expectation(m, density, Payoff.call(m.s0)),
+            lambda m: measure_expectation(m, density,
+                                          Payoff.asian_call(0.9 * m.s0)),
+            lambda m: min_surface(m).values,
+            lambda m: check_ratio_bound(m, surface),
+            lambda m: optional_decompose(m, surface),
+            lambda m: verify_decomposition(m, surface, dec, [density]),
+            lambda m: gamma_step(m, surface, m.n_steps,
+                                 (0,) * (m.n_steps - 1)),
+        ]
+
+    def test_one_construction_per_model(self, monkeypatch):
+        built = []
+        init = Lattice.__init__
+
+        def counting_init(self, model):
+            built.append(model)
+            init(self, model)
+
+        monkeypatch.setattr(Lattice, "__init__", counting_init)
+        for seed in range(4):
+            m = random_model(seed, n_max=3)
+            for call in self.pipeline(m):
+                call(m)
+            assert built == [m]
+            built.clear()
+
+    def test_outputs_match_a_fresh_model_bit_for_bit(self):
+        for seed in range(10):
+            m = random_model(seed, n_max=3, include_zero=seed % 2 == 1)
+            for i, call in enumerate(self.pipeline(m)):
+                fresh = dataclasses.replace(m)
+                assert "lattice" not in vars(fresh)
+                assert bits(call(m)) == bits(call(fresh)), (seed, i)
+
+    def test_gamma_step_matches_the_decomposition(self):
+        for seed in range(8):
+            rng = SplitMix64(seed + 900)
+            m = EvolutionModel(100.0, tuple(random_step(rng)
+                                            for _ in range(3)))
+            surface = min_surface(m)
+            gamma = optional_decompose(m, surface).gamma
+            counts = m.atom_counts()
+            for n, level in enumerate(gamma, start=1):
+                for h, want in enumerate(level.tolist()):
+                    got = gamma_step(m, surface, n,
+                                     history_at(counts, n - 1, h))
+                    assert got.hex() == want.hex(), (seed, n, h)
+
+
+class TestOverflowingExponential:
+    # one step with e^{40 * 20} = e^{800}, which overflows
+    MODEL = EvolutionModel(100.0, (StepSpec(
+        0.5, (ShockAtom(-0.7, 0.5), ShockAtom(20.0, 0.5)),
+        VolatilitySpec.constant(40.0)),))
+
+    def test_surface_from_prices_rejected(self):
+        with pytest.raises(ValidationError, match="overflows at step 1"):
+            SupermartingaleSurface.from_price_function(
+                self.MODEL, lambda prices: prices[-1])
+
+    def test_ratio_bound_and_decomposition_rejected(self):
+        m = self.MODEL
+        surface = SupermartingaleSurface.from_values(m, [[5.0], [5.0, 5.0]])
+        for check in (check_ratio_bound, optional_decompose):
+            with pytest.raises(ValidationError, match="overflows at step 1"):
+                check(m, surface)
+        with pytest.raises(ValidationError, match="overflows at step 1"):
+            gamma_step(m, surface, 1, ())

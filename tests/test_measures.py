@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from superhedge._rng import SplitMix64
 from superhedge.measures import (Lattice, all_selections, history_at,
                                  history_index, selection_count)
 
-from _corpus import random_model, random_step, two_point_model
+from _corpus import chain_model, random_model, random_step, two_point_model
 
 LN2 = math.log(2.0)
 
@@ -84,6 +85,28 @@ class TestLattice:
                     hist = history_at(lattice.counts, n, flat)
                     eps = [m.steps[k].shocks[j].eps for k, j in enumerate(hist)]
                     assert s == sigma_at(m, n + 1, eps), (n, hist)
+
+    def test_kept_levels_are_read_only(self):
+        m = random_model(2, n_max=3)
+        lattice = m.lattice
+        assert m.lattice is lattice
+        for level in lattice.price:
+            with pytest.raises(ValueError):
+                level[0] = 1.0
+        for level in lattice.sigma:
+            with pytest.raises(ValueError):
+                level[0] = 1.0
+        assert lattice.exp(0).flags.writeable
+        assert lattice.delta(0).flags.writeable
+
+    def test_lattice_does_not_keep_its_model_alive(self):
+        m = random_model(3, n_max=3)
+        lattice = m.lattice
+        lattice.price
+        model_ref = weakref.ref(m)
+        del m
+        assert model_ref() is None
+        assert lattice.price[0][0] > 0.0
 
     def test_history_index_round_trip(self):
         for counts in ((3,), (2, 4, 3), (4, 1, 2, 5)):
@@ -303,6 +326,15 @@ class TestVerifyMartingale:
                 mixture_density(m, random_alpha(m, 1))
             with pytest.raises(ValidationError, match="overflows at step 1"):
                 SpotMeasure(m, next(all_selections(m))).as_density()
+
+    def test_degenerate_pairs_rejected(self):
+        # sigma = 1e-300: e^{sigma eps} = 1 on both branches, so V = 0
+        m = chain_model(100.0, (0.5, 0.5), 1e-300, 0.7)
+        message = r"degenerate \(down, up\) pair with V = 0 at step 1"
+        with pytest.raises(ValidationError, match=message):
+            mixture_density(m, random_alpha(m, 1))
+        with pytest.raises(ValidationError, match=message):
+            SpotMeasure(m, next(all_selections(m))).as_density()
 
     def test_spot_density_distinguishes_equivalence(self):
         m = small_model(2)
