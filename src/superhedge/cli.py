@@ -4,12 +4,15 @@ Commands: price, interval, estimate, verify, decompose, oracle.
 Exit codes: 0 success, 1 validation failure, unreadable/unwritable file or
 degenerate branch weights (ZeroDivisionError), 2 budget/cap exceeded.
 Reports are JSON with floats at 17 significant digits; stdout carries a
-human-readable summary.
+human-readable summary.  ``main(argv)`` may be called repeatedly in one
+process; every call shares the one parser ``build_parser`` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 
 import numpy as np
@@ -39,7 +42,14 @@ def _eps_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process.
+
+    Every caller gets the same parser, so callers must not change it.
+    ``parse_args`` keeps no state between calls: each returns a fresh
+    namespace and every default is immutable.
+    """
     parser = _Parser(prog="superhedge")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
@@ -158,6 +168,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0.0 < args.tol < math.inf:
+        raise ValidationError("tol must be positive and finite")
     model = load_model(args.model)
     alphas = oracle.random_alpha(model, args.alphas)
     density = measures.mixture_density(model, alphas)

@@ -414,7 +414,7 @@ def _require(obj, kind: type, what: str):
 def _vol_from_dict(d: dict, step: int) -> VolatilitySpec:
     _require(d, dict, f"vol at step {step}")
     kind = d.get("kind")
-    if kind not in _VOL_FIELDS:
+    if not isinstance(kind, str) or kind not in _VOL_FIELDS:
         raise ValidationError(f"unknown volatility kind {kind!r} at step {step}")
     extra = set(d) - _VOL_FIELDS[kind]
     if extra:

@@ -1,9 +1,20 @@
+import copy
+import io
 import json
+import math
+import subprocess
+import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from superhedge.cli import main
+import superhedge
+from superhedge import cli
+from superhedge.cli import _PAYOFFS, main
 from superhedge.reports import dumps, format_float
 
 TWO_STEP = {
@@ -110,6 +121,8 @@ class TestPrice:
          '"sigma": 1.0}, "shocks": [{"eps": -0.7, "prob": 0.5}, '
          '{"eps": 0.7, "prob": 0.5}]}]}', "'a' at step 1 is not a number"),
         ('[1, 2]', "model must be a JSON object"),
+        ('{"s0": 100.0, "steps": [{"a": 0.5, "vol": {"kind": [], '
+         '"sigma": 1.0}, "shocks": []}]}', "unknown volatility kind []"),
     ])
     def test_malformed_model_exits_one(self, tmp_path, capsys, text,
                                        message):
@@ -233,6 +246,16 @@ class TestVerify:
         assert report["max_normalization_residual"] <= 1e-10
         assert report["max_drift_residual"] <= 1e-10
         assert report["equivalent"] is True
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tol_must_be_positive_and_finite(self, model_file, tmp_path,
+                                             capsys, tol):
+        dump = tmp_path / "density.json"
+        fails_with_one_line(capsys, ["verify", "--model", model_file,
+                                     "--tol", tol, "--dump-density",
+                                     str(dump)],
+                            "tol must be positive and finite")
+        assert not dump.exists()
 
     def test_overflowing_exponential_exits_one(self, tmp_path, capsys):
         # sigma * eps = 800: e^{800} overflows, so psi would be NaN
@@ -360,3 +383,271 @@ class TestReportRendering:
         text = dumps({"x": [1.5, 2], "y": None, "z": True})
         parsed = json.loads(text)
         assert parsed == {"x": [1.5, 2], "y": None, "z": True}
+
+
+class TestParserReuse:
+    """``main`` shares one parser across calls, and no call sees another's
+    options."""
+
+    GRID = ["price", "--payoff", "call", "--strike", "60", "--method", "grid"]
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_parser_built_once(self, model_file, monkeypatch):
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        for strike in ("30", "60", "90"):
+            assert main(["interval", "--model", model_file, "--payoff",
+                         "call", "--strike", strike]) == 0
+            assert main(["price", "--model", model_file, "--payoff", "put",
+                         "--strike", strike, "--method", "closed"]) == 0
+        assert built.count("superhedge") == 1
+
+    def test_no_option_carries_across_calls(self, model_file, tmp_path):
+        a, b, fresh = (tmp_path / name for name in ("a", "b", "fresh"))
+        assert main(self.GRID + ["--model", model_file, "--eps-range=-3,3",
+                                 "--grid-points", "25", "--out", str(a)]) == 0
+        assert main(self.GRID + ["--model", model_file, "--out", str(b)]) == 0
+        src = str(Path(superhedge.__file__).parents[1])
+        subprocess.run([sys.executable, "-m", "superhedge.cli", *self.GRID,
+                        "--model", model_file, "--out", str(fresh)],
+                       check=True, capture_output=True, cwd=src)
+        assert b.read_bytes() == fresh.read_bytes()
+        assert a.read_bytes() != b.read_bytes()
+
+    def test_usage_error_leaves_no_state(self, model_file, tmp_path):
+        before, after = tmp_path / "before", tmp_path / "after"
+        argv = self.GRID + ["--model", model_file, "--grid-points", "25"]
+        assert main(argv + ["--out", str(before)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--eps-range=-3,3", "--bogus"])
+        assert exc.value.code == 1
+        assert main(argv + ["--out", str(after)]) == 0
+        assert before.read_bytes() == after.read_bytes()
+
+    def test_help_matches_a_fresh_parser(self, model_file, capsys):
+        assert main(["interval", "--model", model_file, "--payoff", "call",
+                     "--strike", "30"]) == 0
+        capsys.readouterr()
+        for argv in (["--help"], ["price", "--help"]):
+            helps = []
+            for parse in (main, cli.build_parser.__wrapped__().parse_args):
+                with pytest.raises(SystemExit) as exc:
+                    parse(argv)
+                assert exc.value.code == 0
+                helps.append(capsys.readouterr().out)
+            assert helps[0] == helps[1] and "usage: superhedge" in helps[0]
+
+
+# -- fuzz: mutated input files through cli.main ------------------------------
+
+# raw JSON text a mutation may put in place of any value
+FRAGMENTS = st.one_of(
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e999",
+                     "null", "true", "[]", "{}", '"x"']),
+    st.floats().map(json.dumps),
+    st.floats(-2.0, 2.0).map(json.dumps),
+    st.integers(-320, 308).map(lambda e: f"1e{e}"))
+CELLS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-5", "", "x"]),
+    st.floats().map(repr), st.floats(0.0, 1e4).map(repr),
+    st.integers(-320, 308).map(lambda e: f"1e{e}"),
+    st.integers(-3, 5).map(str))
+STRIKES = st.sampled_from(["30", "60", "100", "1e-300", "1e300"])
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """``doc`` as JSON text after one to three edits: a value replaced by a
+    raw fragment or a number scaled by a power of ten, a key or element
+    deleted, an unknown key added or a list element repeated; sometimes
+    truncated."""
+    doc = copy.deepcopy(doc)
+    holes = {}
+    for i in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["scale", "scale", "replace", "delete",
+                                   "grow"]))
+        paths = list(_paths(doc))
+        numbers = [p for p in paths if isinstance(_at(doc, p), float)]
+        path = draw(st.sampled_from(numbers if op == "scale" and numbers
+                                    else paths))
+        parent, node = _at(doc, path[:-1]), _at(doc, path)
+        if op == "grow" and isinstance(node, dict):
+            node["extra"] = 1
+        elif op == "grow" and isinstance(node, list) and node:
+            node.append(copy.deepcopy(node[-1]))
+        elif op == "delete" and path:
+            del parent[path[-1]]
+        else:
+            if op == "scale" and isinstance(node, float):
+                fragment = json.dumps(
+                    node * 10.0 ** draw(st.integers(-300, 300)))
+            else:
+                fragment = draw(FRAGMENTS)
+            hole = f"\u0000hole{i}"
+            holes[json.dumps(hole)] = fragment
+            if path:
+                parent[path[-1]] = hole
+            else:
+                doc = hole
+    text = json.dumps(doc)
+    for hole, fragment in holes.items():
+        text = text.replace(hole, fragment)
+    if draw(st.integers(0, 19)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@st.composite
+def mutated_csv(draw):
+    """A four-row price CSV after one to three edits: a price replaced, a
+    row deleted or repeated, or a cell added."""
+    rows = [["t", "price"], ["0", "100"], ["1", "80"], ["2", "120"],
+            ["3", "90"]]
+    for _ in range(draw(st.integers(1, 3))):
+        if not rows:
+            break
+        op = draw(st.sampled_from(["price", "price", "delete", "repeat",
+                                   "widen"]))
+        r = draw(st.integers(0, len(rows) - 1))
+        if op == "price" and len(rows) > 1:
+            rows[draw(st.integers(1, len(rows) - 1))][-1] = draw(CELLS)
+        elif op == "delete":
+            del rows[r]
+        elif op == "repeat":
+            rows.insert(r, list(rows[r]))
+        elif op == "widen":
+            rows[r].append(draw(CELLS))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _finite_floats(obj):
+    if isinstance(obj, float):
+        yield math.isfinite(obj)
+    elif isinstance(obj, (dict, list)):
+        for v in obj.values() if isinstance(obj, dict) else obj:
+            yield from _finite_floats(v)
+
+
+def _reject_constant(token):
+    raise AssertionError(f"report holds {token}")
+
+
+def check_cli_contract(argv, reports):
+    """``main(argv)`` exits 0, 1 or 2. A non-zero exit writes exactly one
+    stderr line, starting ``error: ``; exit 0 writes every report path in
+    ``reports``, and every float in them is finite."""
+    for path in reports:
+        path.unlink(missing_ok=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        err = err.getvalue()
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        return
+    for path in reports:
+        doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+        assert all(_finite_floats(doc))
+
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=200,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzz:
+    @FUZZ
+    @given(text=mutated_json(TWO_STEP), payoff=st.sampled_from(_PAYOFFS),
+           strike=STRIKES,
+           command=st.sampled_from(["interval", "verify", "closed",
+                                    "exhaustive"]))
+    def test_model_files(self, tmp_path, text, payoff, strike, command):
+        model, out = tmp_path / "model.json", tmp_path / "out.json"
+        model.write_text(text)
+        if command == "verify":
+            argv = ["verify", "--model", str(model)]
+        else:
+            argv = ["interval" if command == "interval" else "price",
+                    "--model", str(model), "--payoff", payoff,
+                    "--strike", strike]
+            if command != "interval":
+                argv += ["--method", command]
+        check_cli_contract(argv + ["--out", str(out)], [out])
+
+    @FUZZ
+    @given(text=mutated_json({"floor": 1.0, "nodes": [
+        {"history": list(h), "value": 5.0}
+        for h in ((), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1))]}))
+    def test_surface_files(self, tmp_path, model_file, text):
+        surface, out = tmp_path / "surface.json", tmp_path / "out.json"
+        surface.write_text(text)
+        check_cli_contract(["decompose", "--model", model_file, "--surface",
+                            str(surface), "--out", str(out)], [out])
+
+    @FUZZ
+    @given(text=mutated_csv(),
+           statistic=st.sampled_from(["constant_one", "capped_ratio",
+                                      "identity_tail"]),
+           tail_k=st.sampled_from([[], ["--tail-k", "0"], ["--tail-k", "1"],
+                                   ["--tail-k", "3"], ["--tail-k", "-1"]]),
+           tau0=st.one_of(st.sampled_from(["0", "-1", "nan", "inf"]),
+                          st.floats(1e-3, 1.0).map(repr)))
+    def test_price_csvs(self, tmp_path, text, statistic, tail_k, tau0):
+        prices = tmp_path / "prices.csv"
+        out, report = tmp_path / "model.json", tmp_path / "report.json"
+        prices.write_text(text)
+        check_cli_contract(["estimate", "--prices", str(prices),
+                            "--statistic", statistic, "--tau0", tau0,
+                            *tail_k, "--out", str(out), "--report",
+                            str(report)], [out, report])
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the integral representation deviation is "
+                              "absolute, so rounding at s0 = 1e56 fails "
+                              "the 1e-9 tolerance without an error line")
+    def test_verify_large_s0(self, tmp_path):
+        doc = dict(TWO_STEP, s0=1e56)
+        model, out = tmp_path / "model.json", tmp_path / "out.json"
+        model.write_text(json.dumps(doc))
+        check_cli_contract(["verify", "--model", str(model), "--out",
+                            str(out)], [out])
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="saturating sigma: the grid sup is inf and "
+                              "the report writer raises")
+    def test_grid_saturating_sigma(self, tmp_path):
+        doc = json.loads(json.dumps(TWO_STEP))
+        for step in doc["steps"]:
+            step["vol"]["sigma"] = 40.0
+        model, out = tmp_path / "model.json", tmp_path / "out.json"
+        model.write_text(json.dumps(doc))
+        check_cli_contract(["price", "--model", str(model), "--payoff",
+                            "call", "--strike", "50", "--method", "grid",
+                            "--grid-points", "25", "--out", str(out)], [out])
