@@ -20,7 +20,9 @@ spell its path.  ``value`` evaluates one tree given by its shocks.
 combination of per-step candidate pairs in lexicographic order (step 0
 most significant, down candidate the major index within a step); rows
 that share a prefix share its nodes.  ``max_drift`` gives the largest
-relative one-step drift over the nodes of the tree ``value`` evaluates.
+relative one-step drift over the nodes of the tree ``value`` evaluates;
+it keeps on the model the levels of its last tree that are grown whole,
+and regrows them only from the first step whose pair changed.
 
 Results are bit-identical to a depth-first scalar walk (``oracle``
 re-derives them leaf by leaf) because:
@@ -380,46 +382,55 @@ def value(model, eps_dn, eps_up, payoff, atoms_dn=None,
                            atoms_up)
 
 
-def _drift(m: _Model, pairs, first: int, stop: int, price, sigma):
+def _drift_levels(steps, pairs, first: int, stop: int, price, sigma,
+                  before=(0.0, None)):
     """Grow one spot tree from the nodes of level ``first`` (prices
     ``price``, volatility ``sigma``, one value when shared) down to level
-    ``stop``: the largest drift ratio over the nodes grown (at least 0),
-    and the prices and volatilities of level ``stop``."""
-    prices, exps = [], []
+    ``stop``: the (price, sigma) nodes of the levels grown, and after each
+    level the running largest ratio and first failure, from ``before``."""
+    nodes, exps = [(price, sigma)], []
     for level in range(first, stop):
-        args = sigma[:, None] * pairs[level]
+        col = sigma[:, None]
+        args = col * np.array(pairs[level])
         e = _exp(args.ravel()).reshape(args.shape)
-        prices.append(price)
-        exps.append(e if e.shape[0] == price.size
-                    else np.broadcast_to(e, (price.size, 2)))
-        if level + 1 == m.n:
+        exps.append(e if len(e) == price.size else e.repeat(price.size, 0))
+        if level + 1 == len(steps):
             break
-        price = (price[:, None] * (1.0 + m.a[level] * (e - 1.0))).ravel()
-        vol = m.vols[level + 1]
-        if vol.kind == "constant":
-            sigma = np.array([vol.sigma])
-        else:
-            sigma = vol.next_sigmas(sigma[:, None], args)
-            if sigma.size != price.size:
-                sigma = np.broadcast_to(sigma, (price.size // 2, 2))
-            sigma = sigma.ravel()
-    s = np.concatenate(prices)
+        f = e - 1.0                       # price * (1 + a * (e - 1))
+        f *= steps[level].a
+        f += 1.0
+        price = (price[:, None] * f).ravel()
+        vol = steps[level + 1].vol
+        sigma = (np.array([vol.sigma]) if vol.kind == "constant"
+                 else vol.next_sigmas(col, args).ravel())
+        if 1 < sigma.size < price.size:
+            sigma = np.tile(sigma, price.size // 2)
+        nodes.append((price, sigma))
+    sizes = [p.size for p, _ in nodes[:len(exps)]]
+    starts = [0, *itertools.accumulate(sizes[:-1])]
+    s = np.concatenate([p for p, _ in nodes[:len(exps)]])
     e = np.concatenate(exps)
     ed, eu = e[:, 0], e[:, 1]
     psi_d, psi_u = _branch_weights(ed, eu)
-    pa = s * np.repeat(m.a[first:stop], [p.size for p in prices])
+    pa = s * np.array([st.a for st in steps[first:stop]]).repeat(sizes)
     em1 = e - 1.0
     # a saturated up branch has weight 0 and adds no drift, not 0 * inf
     ratio = np.abs(psi_d * (pa * em1[:, 0]) + np.where(
         eu == _INF, 0.0, psi_u * (pa * em1[:, 1]))) / s
-    top = float(np.maximum.reduce(ratio))
-    if not math.isfinite(top):     # a failing node's ratio is inf or NaN
-        if (ed == eu).any():
-            raise ZeroDivisionError(_EQUAL_EXP)
-        if (s == 0.0).any():
-            raise ZeroDivisionError("a node price of the spot tree is 0")
-        top = float(np.fmax.reduce(ratio, initial=0.0))
-    return top, price, sigma
+    worst, failure = before
+    running = []
+    for lo, size, top in zip(starts, sizes,
+                             np.maximum.reduceat(ratio, starts).tolist()):
+        if not math.isfinite(top):    # a failing node's ratio is inf or NaN
+            at = slice(lo, lo + size)
+            top = float(np.fmax.reduce(ratio[at], initial=0.0))
+            if (ed[at] == eu[at]).any():
+                failure = _EQUAL_EXP
+            elif failure is None and (s[at] == 0.0).any():
+                failure = "a node price of the spot tree is 0"
+        worst = max(worst, top)
+        running.append((worst, failure))
+    return tuple(nodes[1:]), tuple(running)
 
 
 def max_drift(model, eps_dn, eps_up) -> float:
@@ -430,21 +441,44 @@ def max_drift(model, eps_dn, eps_up) -> float:
     weights (1, 0) and a drift of psi_down * S * a * (e^{sigma*eps_dn} - 1),
     and NaN ratios (below an infinite price) never win.  ZeroDivisionError
     where a node's two exponentials are equal (a zero weight denominator)
-    or its price is 0."""
-    m = _Model(model)
-    n = m.n
-    pairs = [np.array(p) for p in zip(eps_dn, eps_up)]
-    top = min(_split_level(n), n - 1)
-    price = np.array([m.s0])
-    sigma = np.array([m.vols[0].initial_sigma()])
-    worst = 0.0
+    or its price is 0, equal exponentials first in the first failing block.
+
+    Level ``k`` depends only on the pairs above it.  ``model._drift_tree``
+    keeps the pairs, nodes and running values of the levels the last call
+    grew whole (all up to ``CHUNK_LEAVES`` leaves, else those above the
+    split: never more than one call holds), and a call regrows them from
+    its first differing pair down.  Read once and replaced by one
+    assignment, its arrays never written, it is safe across threads."""
+    steps = model.steps
+    n = len(steps)
+    pairs = tuple(zip(eps_dn, eps_up))
+    depth = min(_split_level(n), n - 1) or n
+    held, nodes, running = model._drift_tree or ((), ((
+        np.array([model.s0]), np.array([steps[0].vol.initial_sigma()])),), ())
+    k = 0
+    while k < min(depth, len(held)) and held[k] == pairs[k]:
+        k += 1
+    nodes, running = nodes[:k + 1], running[:k]
     with np.errstate(all="ignore"):
-        if top:
-            worst, price, sigma = _drift(m, pairs, 0, top, price, sigma)
-        for j in range(price.size):
-            s = sigma[j:j + 1] if sigma.size > 1 else sigma
-            worst = max(worst,
-                        _drift(m, pairs, top, n, price[j:j + 1], s)[0])
+        if k < depth:
+            grown, after = _drift_levels(steps, pairs, k, depth, *nodes[-1],
+                                         *running[-1:])
+            nodes, running = nodes + grown, running + after
+            # the dataclass is frozen: fill the cached_property's slot
+            object.__setattr__(model, "_drift_tree",
+                               (pairs[:depth], nodes, running))
+        worst, failure = running[-1]
+        if failure:
+            raise ZeroDivisionError(failure)
+        if depth < n:
+            price, sigma = nodes[depth]
+            for j in range(price.size):
+                s = sigma[j:j + 1] if sigma.size > 1 else sigma
+                top, failure = _drift_levels(steps, pairs, depth, n,
+                                             price[j:j + 1], s)[1][-1]
+                if failure:
+                    raise ZeroDivisionError(failure)
+                worst = max(worst, top)
     return worst
 
 

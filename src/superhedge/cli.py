@@ -82,7 +82,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="martingale-family checks")
     p.add_argument("--model", required=True)
     p.add_argument("--alphas", type=int, default=1, metavar="SEED")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="the integral "
+                   "representation deviation is held to tol * max(1, s0)")
     p.add_argument("--out")
     p.add_argument("--dump-density", metavar="FILE",
                    help="write the mixture density per (step, history, atom)")
@@ -185,7 +186,7 @@ def _cmd_verify(args) -> int:
     # np.max, unlike max, propagates a NaN deviation
     max_dev = float(np.max([measures.integral_representation_check(
         model, alphas, p) for p in payoffs.values()]))
-    ok = mart.passed and max_dev <= args.tol
+    ok = mart.passed and max_dev <= args.tol * max(1.0, model.s0)
     print(f"normalization residual {mart.max_norm_residual:.3e}; "
           f"drift residual {mart.max_drift_residual:.3e}; "
           f"equivalence {'ok' if mart.equivalent else 'FAILED'}; "

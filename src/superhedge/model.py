@@ -106,7 +106,7 @@ class VolatilitySpec:
             g *= sigma_prev
             s2 += g
         np.sqrt(s2, out=s2)
-        s2[s2 < self.floor] = self.floor
+        np.maximum(s2, self.floor, out=s2)
         return s2
 
     def violations(self, step: int) -> list[str]:
@@ -196,6 +196,11 @@ class EvolutionModel:
         """The ``measures.Lattice`` of this model, built once, kept with it."""
         from .measures import Lattice   # measures imports this module
         return Lattice(self)
+
+    @cached_property
+    def _drift_tree(self):
+        """What ``_engine.max_drift`` keeps of its last tree, or None."""
+        return None
 
     def path_count(self) -> int:
         return math.prod(self.atom_counts()) if self.steps else 0

@@ -1,6 +1,11 @@
 """The batched tree engine against the per-leaf oracle, bit for bit."""
 
+import dataclasses
 import math
+import random
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -90,6 +95,35 @@ def outcome(fn, *args):
         return fn(*args)
     except (OverflowError, ZeroDivisionError) as exc:
         return type(exc)
+
+
+def drift_outcome(m, sel):
+    """max_node_drift, or the type and message of what it raises."""
+    try:
+        return SpotMeasure(m, sel).max_node_drift()
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+def fresh(m):
+    """An equal model object that has grown no spot tree yet."""
+    return dataclasses.replace(m)
+
+
+def prefix_failure_model():
+    """Selections that raise next to ones that pass with the same prefix.
+    At step 1 (a = 1, sigma = 10), e^{-80} - 1 rounds to -1 and makes a
+    down child's price 0, and e^{800} saturates, so every node below the
+    up child has price inf and a NaN ratio; at steps 2 and 3,
+    e^{0.2 * (+-1e-300)} is 1 on both branches (equal exponentials)."""
+    tiny = (ShockAtom(-0.4, 0.3), ShockAtom(-1e-300, 0.2),
+            ShockAtom(1e-300, 0.2), ShockAtom(0.3, 0.3))
+    return EvolutionModel(100.0, (
+        StepSpec(1.0, (ShockAtom(-8.0, 0.3), ShockAtom(-0.5, 0.3),
+                       ShockAtom(1.0, 0.2), ShockAtom(80.0, 0.2)),
+                 VolatilitySpec.constant(10.0)),
+        StepSpec(0.5, tiny, VolatilitySpec.constant(0.2)),
+        StepSpec(0.6, tiny, VolatilitySpec.arch1(0.04, 0.3, 0.05))))
 
 
 class TestEngineAgainstOracle:
@@ -223,6 +257,23 @@ class TestDrift:
         assert SpotMeasure(m, sel).max_node_drift() == walk_drift(m, sel) \
             == 0.5
 
+    def test_equal_exponentials_win_within_a_tree(self):
+        zero_then_equal = (prefix_failure_model(),
+                           measures.AtomPairSelection(((0, 2), (0, 3), (1, 2))))
+        # equal exponentials at level 1 (sigma = 1e-20 below the tiny down
+        # shock), price 0 at level 2 (e^{-1581} below the up shock, a = 1)
+        m = EvolutionModel(100.0, (
+            StepSpec(0.5, (ShockAtom(-1e-25, 0.5), ShockAtom(5.0, 0.5)),
+                     VolatilitySpec.constant(1.0)),
+            StepSpec(1.0, (ShockAtom(-1.0, 0.5), ShockAtom(1e-3, 0.5)),
+                     VolatilitySpec.arch1(1e-40, 1e5, 0.0)),
+            StepSpec(0.5, (ShockAtom(-0.5, 0.5), ShockAtom(0.5, 0.5)),
+                     VolatilitySpec.constant(1.0))))
+        for m, sel in (zero_then_equal, (m, next(all_selections(m)))):
+            assert outcome(walk_drift, m, sel) is ZeroDivisionError
+            assert drift_outcome(m, sel) \
+                == (ZeroDivisionError, _engine._EQUAL_EXP)
+
     def test_first_failure_in_walk_order_wins(self):
         # the up child of the root saturates (sigma = 1001), which is no
         # failure; the down child's down child, earlier in a depth-first
@@ -240,6 +291,109 @@ class TestDrift:
         with pytest.raises(ZeroDivisionError):
             SpotMeasure(m, sel).max_node_drift()
 
+    # A model keeps the levels of the last spot tree it grew; whatever the
+    # calls before, a drift equals a first call on a fresh model.
+    MODELS = [random_model(seed, n_max=5, vol_kinds=ALL_VOLS)
+              for seed in range(12)] + [prefix_failure_model()]
+
+    @staticmethod
+    def cold(m, sels):
+        want = [drift_outcome(fresh(m), s) for s in sels]
+        walked = [outcome(walk_drift, m, s) for s in sels]
+        assert [w if isinstance(w, float) else w[0] for w in want] == walked
+        return want
+
+    def test_every_order(self):
+        rng = random.Random(3)
+        for m in self.MODELS:
+            sels = list(all_selections(m))[:60]
+            want = self.cold(m, sels)
+            orders = [list(range(len(sels))), list(range(len(sels)))[::-1],
+                      rng.sample(range(len(sels)), len(sels)),
+                      [i for i in range(len(sels)) for _ in range(2)]]
+            for order in orders:
+                m = fresh(m)
+                assert [drift_outcome(m, sels[i]) for i in order] \
+                    == [want[i] for i in order]
+
+    def test_two_models_interleaved(self):
+        a, b = self.MODELS[-1], self.MODELS[4]
+        sels_a, sels_b = list(all_selections(a)), list(all_selections(b))
+        want_a, want_b = self.cold(a, sels_a), self.cold(b, sels_b)
+        a, b = fresh(a), fresh(b)
+        for i in range(max(len(sels_a), len(sels_b))):
+            assert drift_outcome(a, sels_a[i % len(sels_a)]) \
+                == want_a[i % len(sels_a)]
+            assert drift_outcome(b, sels_b[i % len(sels_b)]) \
+                == want_b[i % len(sels_b)]
+
+    def test_pass_after_failure_with_the_same_prefix(self):
+        m = prefix_failure_model()
+        sels = list(all_selections(m))
+        want = self.cold(m, sels)
+        failing = [i for i, w in enumerate(want) if not isinstance(w, float)]
+        # both failure kinds occur, and a passing selection follows one
+        # that raises equal exponentials at the last step
+        assert {want[i][1] for i in failing} \
+            == {_engine._EQUAL_EXP, "a node price of the spot tree is 0"}
+        pairs = [(i, i + 1) for i in failing if i + 1 < len(sels)
+                 and isinstance(want[i + 1], float)
+                 and sels[i].pairs[:-1] == sels[i + 1].pairs[:-1]]
+        assert pairs
+        for i, j in pairs:
+            m = fresh(m)
+            assert [drift_outcome(m, sels[i]), drift_outcome(m, sels[j])] \
+                == [want[i], want[j]]
+
+    def test_threads_share_a_model(self, monkeypatch):
+        # consecutive selections differ in outcome, so a call that read a
+        # tree of another thread's half-done call would show
+        m = prefix_failure_model()
+        sels = list(all_selections(m))
+        want = self.cold(m, sels)
+        m = fresh(m)
+        exp = _engine._exp
+
+        def yielding_exp(x):
+            time.sleep(0)     # let another thread run inside each call
+            return exp(x)
+
+        monkeypatch.setattr(_engine, "_exp", yielding_exp)
+        # each thread sweeps its own order, so the trees the threads grow
+        # share prefixes of every length
+        orders = [random.Random(k).sample(range(len(sels)), len(sels)) * 12
+                  for k in range(4)]
+        start = threading.Barrier(4)
+        got = {}
+
+        def sweep(k):
+            start.wait()
+            got[k] = [drift_outcome(m, sels[i]) for i in orders[k]]
+
+        threads = [threading.Thread(target=sweep, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {k: [want[i] for i in order]
+                       for k, order in enumerate(orders)}
+
+    def test_model_equality_ignores_the_tree(self):
+        m = self.MODELS[5]
+        twin = fresh(m)
+        shown, hashed = repr(m), hash(m)
+        for sel in all_selections(m):
+            drift_outcome(m, sel)
+        assert m._drift_tree is not None and twin._drift_tree is None
+        assert m == twin and hash(m) == hash(twin) == hashed
+        assert repr(m) == repr(twin) == shown
+
 
 class TestDeepTrees:
     """Trees with more than CHUNK_LEAVES leaves are split into subtrees."""
@@ -255,6 +409,22 @@ class TestDeepTrees:
         assert spot_expectation(m, sel, call) \
             == spot_expectation(m, sel, lambda prices: call.value(prices))
         assert SpotMeasure(m, sel).max_node_drift() == walk_drift(m, sel)
+
+    def test_sweep(self):
+        # arch_chain(16) with a second up atom at step 1, in the levels
+        # held above the split, and at step 16, inside the subtrees
+        m = arch_chain(16)
+        ups = (ShockAtom(-0.4, 0.4), ShockAtom(0.3, 0.3), ShockAtom(0.6, 0.3))
+        steps = list(m.steps)
+        for i in (0, 15):
+            steps[i] = dataclasses.replace(steps[i], shocks=ups)
+        m = dataclasses.replace(m, steps=tuple(steps))
+        sels = list(all_selections(m))
+        want = [walk_drift(m, s) for s in sels]
+        assert len(set(want)) > 1
+        for order in (sels, sels[::-1]):
+            assert [SpotMeasure(m, s).max_node_drift() for s in order] \
+                == [want[sels.index(s)] for s in order]
 
     @staticmethod
     def _peak(fn):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from superhedge import (CapExceededError, EvolutionModel, PathIndex,
@@ -75,6 +76,21 @@ class TestSigma:
         vol = VolatilitySpec.garch11(0.0001, 0.01, 0.01, 0.5)
         m = EvolutionModel(100.0, (StepSpec(0.5, step().shocks, vol),) * 2)
         assert sigma_at(m, 2, (0.1,)) == 0.5
+
+    @pytest.mark.parametrize("vol", [
+        VolatilitySpec.arch1(0.0625, 0.75, 0.5),
+        VolatilitySpec.garch11(0.0625, 0.75, 0.0, 0.5)])
+    def test_elementwise_clamp_matches_scalar(self, vol):
+        # sqrt(0.0625 + 0.75 x^2) is below the floor 0.5 for |x| < 0.5,
+        # exactly 0.5 at |x| = 0.5, and NaN stays NaN
+        prev = np.array([1.0] * 9 + [math.nan])
+        eps = np.array([math.nan, 0.0, -0.0, 0.1, -0.3, 0.5, -0.5, 2.0,
+                        math.inf, 0.5])
+        got = vol.next_sigmas(prev, prev * eps)
+        want = [vol.next_sigma(p, e) for p, e in zip(prev, eps)]
+        np.testing.assert_array_equal(got, want)
+        assert list(np.isnan(got)) == [True] + [False] * 8 + [True]
+        assert list(got[1:7]) == [0.5] * 6
 
     def test_arch1_recursion(self):
         vol = VolatilitySpec.arch1(0.04, 0.5, 0.01)
