@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .measures import (MeasureDensity, history_at, history_index,
-                       verify_martingale)
+                       _require_own_model, verify_martingale)
 from .model import (EvolutionModel, _check_step, _number, _require,
                     require_valid)
 
@@ -41,7 +41,10 @@ _SHIFT_PAD = 1e-3
 
 @dataclass(frozen=True)
 class SupermartingaleSurface:
-    """Values per history prefix (row-major per level), all >= floor > 0."""
+    """Values per history prefix (row-major per level), all >= floor > 0.
+
+    Levels must not change after construction: the surface keeps its ratio
+    bound.  ``from_values`` stores read-only views."""
 
     model: EvolutionModel
     values: tuple[np.ndarray, ...]  # values[n] has one entry per length-n prefix
@@ -63,19 +66,22 @@ class SupermartingaleSurface:
             if not np.isfinite(level).all():
                 raise ValidationError(f"surface level {n} is not finite")
         vmin = min(float(v.min()) for v in values)
+        shift = 0.0
         if floor is not None:
             if not floor > 0 or vmin < floor:
                 raise ValidationError(
                     f"surface values fall below the declared floor {floor}")
-            return SupermartingaleSurface(model, values, float(floor), 0.0)
-        if vmin > 0.0:
-            return SupermartingaleSurface(model, values, vmin, 0.0)
-        # restore positivity by a recorded shift; the decomposition below is
-        # of the shifted surface
-        pad = max(1.0, abs(vmin)) * _SHIFT_PAD
-        shift = -vmin + pad
-        shifted = tuple(v + shift for v in values)
-        return SupermartingaleSurface(model, shifted, pad, shift)
+        elif vmin > 0.0:
+            floor = vmin
+        else:
+            # restore positivity by a recorded shift; the decomposition below
+            # is of the shifted surface
+            floor = max(1.0, abs(vmin)) * _SHIFT_PAD
+            shift = -vmin + floor
+            values = tuple(v + shift for v in values)
+        for level in values:        # views or new arrays, never the caller's
+            level.setflags(write=False)
+        return SupermartingaleSurface(model, values, float(floor), shift)
 
     @staticmethod
     def from_price_function(model: EvolutionModel,
@@ -96,6 +102,22 @@ class SupermartingaleSurface:
     def value(self, history_atoms: Sequence[int]) -> float:
         flat = history_index(self.model.atom_counts(), history_atoms)
         return float(self.values[len(history_atoms)][flat])
+
+    @cached_property
+    def _ratio_levels(self) -> tuple[tuple[np.ndarray, ...],
+                                     tuple[np.ndarray, ...], tuple[float, ...]]:
+        """gamma and xi0 of every step, read-only, and each step's largest
+        scaled excess (NaN if any is NaN)."""
+        require_valid(self.model)
+        gammas, xi0, worst = [], [], []
+        for n in range(self.model.n_steps):
+            gamma, xi, excess = _level(self, n)
+            gamma.setflags(write=False)
+            xi.setflags(write=False)
+            gammas.append(gamma)
+            xi0.append(xi)
+            worst.append(float(excess.max()))
+        return tuple(gammas), tuple(xi0), tuple(worst)
 
 
 @dataclass(frozen=True)
@@ -137,49 +159,51 @@ class DecompositionReport:
 def gamma_step(model: EvolutionModel, surface: SupermartingaleSurface,
                n: int, history_atoms: Sequence[int]) -> float:
     """inf over strictly-down atoms of (1 - f_n/f_{n-1}) / dS_n^-."""
+    _require_own_model(model, surface)
     _check_step(model, n, history_atoms)
     flat = history_index(model.atom_counts(), history_atoms)
-    return float(_level(model, surface, n - 1)[2][flat])
+    return float(_level(surface, n - 1)[0][flat])
 
 
-def _level(model: EvolutionModel, surface: SupermartingaleSurface, n: int
+def _level(surface: SupermartingaleSurface, n: int
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """dS_{n+1} and f_{n+1}/f_n per (length-n prefix, atom), and
-    gamma_n per prefix."""
+    """gamma_n per length-n prefix, and per (prefix, atom) xi0_{n+1} and
+    the scaled excess (f_{n+1}/f_n - xi0_{n+1}) / max(1, f_n)."""
+    model = surface.model
     downs = model.strict_down_indices(n + 1)
     if not downs:
         raise ValidationError(f"step {n + 1} has no strictly-down atom")
-    delta = model.lattice.delta(n)
-    ratios = surface.values[n + 1].reshape(-1, len(model.steps[n].shocks)) \
+    xi = model.lattice.delta(n)
+    excess = surface.values[n + 1].reshape(-1, len(model.steps[n].shocks)) \
         / surface.values[n][:, None]
-    gamma = reduce(np.minimum, ((1.0 - ratios[:, j]) / -delta[:, j]
+    gamma = reduce(np.minimum, ((1.0 - excess[:, j]) / -xi[:, j]
                                 for j in downs))
-    return delta, ratios, gamma
+    # dS and the ratios become xi0 and the excess in place, so no grid of
+    # the level is held twice
+    xi *= gamma[:, None]
+    xi += 1.0
+    excess -= xi
+    excess /= np.maximum(1.0, surface.values[n])[:, None]
+    return gamma, xi, excess
 
 
 def _ratio_bound(model: EvolutionModel, surface: SupermartingaleSurface,
-                 tol: float) -> tuple[list[np.ndarray], list[np.ndarray],
-                                      RatioBoundReport]:
+                 tol: float) -> tuple[tuple[np.ndarray, ...],
+                                      tuple[np.ndarray, ...], RatioBoundReport]:
     """gamma and xi0 of every step, and the ratio-bound report."""
-    require_valid(model)
+    _require_own_model(model, surface)
+    gammas, xi0, worst_levels = surface._ratio_levels
     counts = model.atom_counts()
-    gammas, xi0 = [], []
     worst = 0.0
     failures = []
-    for n in range(model.n_steps):
-        xi, excess, gamma = _level(model, surface, n)
-        # in place, so no grid of the level is held twice:
-        # xi0 = 1 + gamma dS, (ratio - xi0) / max(1, f_{n-1})
-        xi *= gamma[:, None]
-        xi += 1.0
-        excess -= xi
-        excess /= np.maximum(1.0, surface.values[n])[:, None]
-        worst = float(np.maximum(worst, excess.max()))
+    for n, worst_n in enumerate(worst_levels):
+        worst = float(np.maximum(worst, worst_n))
+        if worst_n <= tol:
+            continue            # only a step over tol is computed again
+        excess = _level(surface, n)[2]
         for h, j in zip(*np.nonzero(~(excess <= tol))):
             failures.append((n + 1, history_at(counts, n, h), int(j),
                              float(excess[h, j])))
-        gammas.append(gamma)
-        xi0.append(xi)
     return gammas, xi0, RatioBoundReport(tol, worst, failures)
 
 
@@ -188,7 +212,8 @@ def check_ratio_bound(model: EvolutionModel, surface: SupermartingaleSurface,
     """Verify f_n/f_{n-1} <= 1 + gamma_{n-1} dS_n (+ tol) at every node.
 
     The per-node allowance is tol * max(1, f_{n-1}); a failure means the
-    surface is not a supermartingale for the whole measure family.
+    surface is not a supermartingale for the whole measure family.  The
+    surface keeps the bound, so ``model`` must equal ``surface.model``.
     """
     return _ratio_bound(model, surface, tol)[2]
 
@@ -212,7 +237,7 @@ def optional_decompose(model: EvolutionModel,
         f_next = surface.values[n + 1].reshape(-1, counts[n])
         g.append(-f_next + f_prev[:, None] * xi)
         M.append((M[n][:, None] + f_prev[:, None] * (xi - 1.0)).ravel())
-    return Decomposition(model, tuple(gammas), tuple(xi0), tuple(g), tuple(M))
+    return Decomposition(model, gammas, xi0, tuple(g), tuple(M))
 
 
 def verify_decomposition(model: EvolutionModel,
@@ -221,7 +246,8 @@ def verify_decomposition(model: EvolutionModel,
                          densities: Sequence[MeasureDensity],
                          tol: float = 1e-10) -> DecompositionReport:
     """Check consumption sign, reconstruction, and the martingale property
-    of M under each supplied density, after re-verifying each density."""
+    of M under each supplied density; each density must also pass
+    ``verify_martingale`` at tol, a read of the residuals it keeps."""
     for i, q in enumerate(densities):
         if not verify_martingale(model, q, tol).passed:
             raise ValidationError(f"density {i} fails the martingale checks")

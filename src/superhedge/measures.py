@@ -277,6 +277,7 @@ class SpotMeasure:
             out = np.zeros((psi_d.shape[0], len(step.shocks)))
             out[:, d] = psi_d[:, 0, 0] / step.shocks[d].prob
             out[:, u] = psi_u[:, 0, 0] / step.shocks[u].prob
+            out.setflags(write=False)
             psi.append(out)
         return MeasureDensity(model, tuple(psi))
 
@@ -397,7 +398,11 @@ def alpha_from_partition(step: StepSpec, down_blocks: Sequence[Sequence[int]],
 
 @dataclass(frozen=True)
 class MeasureDensity:
-    """Density psi per (step, history prefix, atom), history row-major."""
+    """Density psi per (step, history prefix, atom), history row-major.
+
+    Levels must not change after construction: the density keeps its
+    martingale residuals.  ``mixture_density`` and
+    ``SpotMeasure.as_density`` store them read-only."""
 
     model: EvolutionModel
     psi: tuple[np.ndarray, ...]
@@ -414,6 +419,32 @@ class MeasureDensity:
     def min_value(self) -> float:
         """The smallest psi; NaN when any cell is NaN."""
         return float(np.min([p.min() for p in self.psi]))
+
+    def _residuals(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """|conditional normalization - 1| and |conditional drift| / S_n
+        of step n + 1, per length-n prefix."""
+        lattice = self.model.lattice
+        probs = np.array([at.prob for at in self.model.steps[n].shocks])
+        psi = self.psi[n]
+        norm_res = np.abs(psi @ probs - 1.0)
+        drift_res = np.abs(np.einsum("ha,a,ha->h", psi, probs,
+                                     lattice.delta(n))) / lattice.price[n]
+        return norm_res, drift_res
+
+    @cached_property
+    def _residual_maxima(self) -> tuple[tuple[float, float], ...]:
+        """The largest normalization and drift residual of every step
+        (NaN if any is NaN)."""
+        return tuple((float(norm.max()), float(drift.max())) for norm, drift
+                     in map(self._residuals, range(self.model.n_steps)))
+
+
+def _require_own_model(model: EvolutionModel, obj) -> None:
+    """``obj`` keeps results computed from ``obj.model``: reject any model
+    that is not equal to it."""
+    if model != obj.model:
+        raise ValidationError(
+            f"the model is not the {type(obj).__name__}'s own model")
 
 
 def mixture_density(model: EvolutionModel,
@@ -436,6 +467,7 @@ def mixture_density(model: EvolutionModel,
         out = np.zeros((r_plus.shape[0], len(step.shocks)))
         out[:, list(sa.down_atoms)] = np.einsum("u,du,hdu->hd", pu, w, r_plus)
         out[:, list(sa.up_atoms)] = np.einsum("d,du,hdu->hu", pd, w, r_minus)
+        out.setflags(write=False)
         psi.append(out)
     return MeasureDensity(model, tuple(psi))
 
@@ -491,27 +523,25 @@ def verify_martingale(model: EvolutionModel, density: MeasureDensity,
     Equivalence (strict positivity of psi) is reported separately and does
     not gate `passed`; spot measures expressed as densities pass the
     martingale checks while failing equivalence.  A NaN residual is a
-    failure, and the maxima propagate it.
+    failure, and the maxima propagate it.  The density keeps its residual
+    maxima, so ``model`` must equal ``density.model``; only a step over
+    tol is computed again, for its failures.
     """
-    lattice = model.lattice
-    counts = lattice.counts
+    _require_own_model(model, density)
+    counts = model.atom_counts()
     max_norm = 0.0
     max_drift = 0.0
     failures = []
-    for n, step in enumerate(model.steps):
-        probs = np.array([at.prob for at in step.shocks])
-        psi = density.psi[n]
-        norm_res = np.abs(psi @ probs - 1.0)
-        drift_res = np.abs(np.einsum("ha,a,ha->h", psi, probs,
-                                     lattice.delta(n))) / lattice.price[n]
-        max_norm = float(np.maximum(max_norm, norm_res.max()))
-        max_drift = float(np.maximum(max_drift, drift_res.max()))
-        for h in np.nonzero(~(norm_res <= tol))[0]:
-            failures.append((n + 1, history_at(counts, n, h), "normalization",
-                             float(norm_res[h])))
-        for h in np.nonzero(~(drift_res <= tol))[0]:
-            failures.append((n + 1, history_at(counts, n, h), "drift",
-                             float(drift_res[h])))
+    for n, (norm_n, drift_n) in enumerate(density._residual_maxima):
+        max_norm = float(np.maximum(max_norm, norm_n))
+        max_drift = float(np.maximum(max_drift, drift_n))
+        if norm_n <= tol and drift_n <= tol:
+            continue
+        for kind, res in zip(("normalization", "drift"),
+                             density._residuals(n)):
+            for h in np.nonzero(~(res <= tol))[0]:
+                failures.append((n + 1, history_at(counts, n, h), kind,
+                                 float(res[h])))
     min_psi = density.min_value()
     return MartingaleReport(tol, max_norm, max_drift, min_psi,
                             equivalent=min_psi > 0.0, failures=failures)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from superhedge import (EvolutionModel, ShockAtom, StepSpec,
@@ -90,3 +92,20 @@ def martingale_mix_surface(model: EvolutionModel,
     w2 = wealth_levels(model, seed * 2 + 2)
     levels = [theta * a + (1.0 - theta) * b for a, b in zip(w1, w2)]
     return SupermartingaleSurface.from_values(model, levels)
+
+
+def bits(obj):
+    """An image of ``obj`` that tells apart any two bit patterns of its
+    floats and arrays (models are left out)."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, EvolutionModel):
+        return None
+    if dataclasses.is_dataclass(obj):
+        return tuple(bits(getattr(obj, f.name))
+                     for f in dataclasses.fields(obj))
+    if isinstance(obj, (list, tuple)):
+        return tuple(bits(x) for x in obj)
+    return obj

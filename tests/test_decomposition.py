@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,15 +10,16 @@ from superhedge import (Decomposition, EvolutionModel, Payoff, ShockAtom,
                         StepSpec, SupermartingaleSurface, ValidationError,
                         VolatilitySpec, check_ratio_bound, gamma_step,
                         measure_expectation, mixture_density,
-                        optional_decompose, random_alpha,
-                        verify_decomposition, verify_martingale)
+                        model_from_dict, model_to_dict, optional_decompose,
+                        random_alpha, verify_decomposition,
+                        verify_martingale)
 from superhedge import _engine
 from superhedge._rng import SplitMix64
 from superhedge.decomposition import surface_from_nodes
 from superhedge.measures import (Lattice, SpotMeasure, all_selections,
                                  history_at)
 
-from _corpus import (chain_model, random_model, random_step,
+from _corpus import (bits, chain_model, random_model, random_step,
                      two_point_model, wealth_surface)
 
 LN2 = math.log(2.0)
@@ -26,6 +29,14 @@ def min_surface(model, cap=None):
     cap = cap if cap is not None else 0.9 * model.s0
     return SupermartingaleSurface.from_price_function(
         model, lambda prices: min(prices[-1], cap))
+
+
+def nan_surface():
+    """A surface with a NaN node, built past from_values (which rejects
+    it)."""
+    m = two_point_model(100.0, 0.5, 1.0, 0.7)
+    return SupermartingaleSurface(
+        m, (np.array([5.0]), np.array([math.nan, 4.0])), 4.0)
 
 
 class TestGammaStep:
@@ -288,14 +299,13 @@ class TestSurfaceHandling:
     def test_nan_fails_every_check(self):
         # a NaN node built past from_values: the maxima propagate it and
         # every check fails
-        m = two_point_model(100.0, 0.5, 1.0, 0.7)
-        nan_surface = SupermartingaleSurface(
-            m, (np.array([5.0]), np.array([math.nan, 4.0])), 4.0)
-        rep = check_ratio_bound(m, nan_surface)
+        surface = nan_surface()
+        m = surface.model
+        rep = check_ratio_bound(m, surface)
         assert math.isnan(rep.max_scaled_excess) and not rep.passed
         assert rep.failures
         with pytest.raises(ValidationError, match="ratio bound"):
-            optional_decompose(m, nan_surface)
+            optional_decompose(m, surface)
         flat = SupermartingaleSurface.from_values(m, [[5.0], [5.0, 5.0]])
         dec = optional_decompose(m, flat)
         density = mixture_density(m, random_alpha(m, 1))
@@ -307,23 +317,6 @@ class TestSurfaceHandling:
         assert math.isnan(rep.max_reconstruction_residual)
         assert math.isnan(rep.max_martingale_residual)
         assert len(rep.failures) == 3 and not rep.passed
-
-
-def bits(obj):
-    """An image of ``obj`` that tells apart any two bit patterns of its
-    floats and arrays (models are left out)."""
-    if isinstance(obj, np.ndarray):
-        return obj.dtype.str, obj.shape, obj.tobytes()
-    if isinstance(obj, float):
-        return obj.hex()
-    if isinstance(obj, EvolutionModel):
-        return None
-    if dataclasses.is_dataclass(obj):
-        return tuple(bits(getattr(obj, f.name))
-                     for f in dataclasses.fields(obj))
-    if isinstance(obj, (list, tuple)):
-        return tuple(bits(x) for x in obj)
-    return obj
 
 
 class TestOneLatticePerModel:
@@ -387,6 +380,143 @@ class TestOneLatticePerModel:
                     got = gamma_step(m, surface, n,
                                      history_at(counts, n - 1, h))
                     assert got.hex() == want.hex(), (seed, n, h)
+
+
+def ratio_failures_by_node(surface, tol):
+    """The ratio-bound failures of ``surface``, one node at a time in
+    row-major order: the reference for the bound the surface keeps."""
+    m = surface.model
+    lattice, counts = Lattice(m), m.atom_counts()
+    out = []
+    for n in range(m.n_steps):
+        delta = lattice.delta(n)
+        downs = m.strict_down_indices(n + 1)
+        for h in range(delta.shape[0]):
+            f = surface.values[n][h]
+            ratios = [surface.values[n + 1][h * counts[n] + j] / f
+                      for j in range(counts[n])]
+            gamma = functools.reduce(np.minimum, [
+                (1.0 - ratios[j]) / -delta[h, j] for j in downs])
+            for j in range(counts[n]):
+                excess = (ratios[j] - (delta[h, j] * gamma + 1.0)) \
+                    / np.maximum(1.0, f)
+                if not excess <= tol:
+                    out.append((n + 1, history_at(counts, n, h), j,
+                                float(excess)))
+    return out
+
+
+class TestKeptRatioBound:
+    CALLS = (lambda s: check_ratio_bound(s.model, s, 1e-30),
+             lambda s: check_ratio_bound(s.model, s, 1e-10),
+             lambda s: optional_decompose(s.model, s))
+
+    @staticmethod
+    def surfaces():
+        """Factories of a passing, a failing and a NaN surface, and of a
+        martingale surface whose rounding fails 1e-30 (not 1e-10) at steps
+        1 and 3 only."""
+        up = random_model(7, n_max=3)
+        return (lambda: min_surface(random_model(4, n_max=3)),
+                lambda: SupermartingaleSurface.from_price_function(
+                    up, lambda prices: max(prices[-1], 1.05 * up.s0)),
+                nan_surface,
+                lambda: wealth_surface(random_model(6, n_max=3), 56))
+
+    @staticmethod
+    def outcome(call, surface):
+        try:
+            return bits(call(surface))
+        except ValidationError as exc:
+            return str(exc), bits(exc.report)
+
+    def test_one_surface_matches_fresh_surfaces(self):
+        for make in self.surfaces():
+            for calls in (self.CALLS, self.CALLS[::-1]):
+                surface = make()
+                kept = [self.outcome(call, surface) for call in calls]
+                fresh = [self.outcome(call, make()) for call in calls]
+                assert kept == fresh
+
+    def test_failures_match_a_walk_by_node(self):
+        passing, failing, nan, rounded = (make() for make in self.surfaces())
+        for surface in (passing, failing, nan, rounded):
+            for tol in (1e-30, 1e-10, 1e-10, 1e-30):
+                report = check_ratio_bound(surface.model, surface, tol)
+                assert report.passed == (not report.failures)
+                assert bits(report.failures) \
+                    == bits(ratio_failures_by_node(surface, tol))
+        assert not check_ratio_bound(passing.model, passing).failures
+        steps = {f[0] for f in check_ratio_bound(failing.model, failing,
+                                                 1e-10).failures}
+        assert len(steps) > 1
+        assert check_ratio_bound(nan.model, nan).failures
+        assert check_ratio_bound(rounded.model, rounded).passed
+        steps = {f[0] for f in check_ratio_bound(rounded.model, rounded,
+                                                 1e-30).failures}
+        assert steps == {1, 3}
+
+    def test_other_model_rejected(self):
+        m, other = random_model(4, n_max=3), random_model(5, n_max=3)
+        surface = min_surface(m)
+        density = mixture_density(m, random_alpha(m, 1))
+        dec = optional_decompose(m, surface)
+        for call in (lambda: check_ratio_bound(other, surface),
+                     lambda: optional_decompose(other, surface),
+                     lambda: gamma_step(other, surface, 1, ()),
+                     lambda: verify_decomposition(other, surface, dec,
+                                                  [density])):
+            with pytest.raises(ValidationError, match="own model"):
+                call()
+        reloaded = model_from_dict(model_to_dict(m))
+        assert reloaded == m and reloaded is not m
+        assert bits(check_ratio_bound(reloaded, surface)) \
+            == bits(check_ratio_bound(m, surface))
+        assert bits(optional_decompose(reloaded, surface)) == bits(dec)
+        assert verify_decomposition(reloaded, surface, dec, [density]).passed
+
+    def test_each_step_delta_built_once_per_object(self, monkeypatch):
+        # the benchmark's chain: densities verified, then the ratio bound,
+        # the decomposition and its check against those densities
+        built = collections.Counter()
+        delta = Lattice.delta
+
+        def counting_delta(self, n):
+            built[n] += 1
+            return delta(self, n)
+
+        monkeypatch.setattr(Lattice, "delta", counting_delta)
+        m = random_model(4, n_max=3)
+        densities = [mixture_density(m, random_alpha(m, s)) for s in range(2)]
+        densities.append(SpotMeasure(m, next(all_selections(m))).as_density())
+        for q in densities:
+            assert verify_martingale(m, q).passed
+        surface = min_surface(m)
+        assert check_ratio_bound(m, surface).passed
+        dec = optional_decompose(m, surface)
+        assert verify_decomposition(m, surface, dec, densities).passed
+        assert built == {n: 1 + len(densities) for n in range(m.n_steps)}
+
+
+class TestReadOnlyLevels:
+    def test_from_values_keeps_read_only_views(self):
+        m = random_model(4, n_max=3)
+        raw = [level.copy() for level in min_surface(m).values]
+        surface = SupermartingaleSurface.from_values(m, raw)
+        for mine, kept in zip(raw, surface.values):
+            assert mine.flags.writeable and not kept.flags.writeable
+            assert np.shares_memory(mine, kept)
+        shifted = SupermartingaleSurface.from_values(
+            m, [level - m.s0 for level in raw])
+        assert shifted.shift > 0
+        assert not any(v.flags.writeable for v in shifted.values)
+
+    def test_gamma_and_xi0_read_only_and_shared(self):
+        m = random_model(4, n_max=3)
+        surface = min_surface(m)
+        first, second = (optional_decompose(m, surface) for _ in range(2))
+        for a, b in zip(first.gamma + first.xi0, second.gamma + second.xi0):
+            assert a is b and not a.flags.writeable
 
 
 class TestOverflowingExponential:

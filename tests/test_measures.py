@@ -9,14 +9,16 @@ from superhedge import (AtomPairSelection, EvolutionModel,
                         StepSpec, ValidationError, VolatilitySpec,
                         alpha_from_partition, delta_split, enumerate_paths,
                         integral_representation_check, measure_expectation,
-                        mixture_density, psi_weights, random_alpha,
-                        sigma_at, spot_expectation, verify_martingale)
+                        mixture_density, model_from_dict, model_to_dict,
+                        psi_weights, random_alpha, sigma_at,
+                        spot_expectation, verify_martingale)
 from superhedge import _engine
 from superhedge._rng import SplitMix64
 from superhedge.measures import (Lattice, all_selections, history_at,
                                  history_index, selection_count)
 
-from _corpus import chain_model, random_model, random_step, two_point_model
+from _corpus import (bits, chain_model, random_model, random_step,
+                     two_point_model)
 
 LN2 = math.log(2.0)
 
@@ -315,6 +317,62 @@ class TestVerifyMartingale:
         assert report.passed is False
         assert math.isnan(report.max_norm_residual)
         assert not report.equivalent
+
+    @staticmethod
+    def bad_densities(m):
+        """Factories of a perturbed and a NaN density."""
+        base = mixture_density(m, random_alpha(m, 1))
+
+        def perturbed():
+            psi = tuple(p.copy() for p in base.psi)
+            psi[0][0, 0] += 0.01
+            # a drift of about 1e-12 at the last step, with normalization
+            # kept: fails 1e-13, passes 1e-9
+            probs = [at.prob for at in m.steps[-1].shocks]
+            psi[-1][-1, 0] += 1e-11 / probs[0]
+            psi[-1][-1, -1] -= 1e-11 / probs[-1]
+            return MeasureDensity(m, psi)
+
+        def nan():
+            psi = tuple(p.copy() for p in base.psi)
+            psi[-1][-1, -1] = math.nan
+            return MeasureDensity(m, psi)
+
+        return perturbed, nan
+
+    def test_one_density_matches_fresh_densities(self):
+        m = small_model(1)
+        assert m.n_steps > 1
+        perturbed, nan = self.bad_densities(m)
+        for make in (perturbed, nan):
+            for tols in ((1e-9, 1e-13), (1e-13, 1e-9)):
+                density = make()
+                kept = [verify_martingale(m, density, t) for t in tols]
+                fresh = [verify_martingale(m, make(), t) for t in tols]
+                assert bits(kept) == bits(fresh)
+                assert all(r.passed == (not r.failures) for r in kept)
+        loose, tight = (verify_martingale(m, perturbed(), t)
+                        for t in (1e-9, 1e-13))
+        assert {(f[0], f[2]) for f in loose.failures} == {
+            (1, "normalization"), (1, "drift")}
+        assert {(f[0], f[2]) for f in tight.failures} == {
+            (1, "normalization"), (1, "drift"), (m.n_steps, "drift")}
+
+    def test_other_model_rejected(self):
+        m = small_model(1)
+        density = mixture_density(m, random_alpha(m, 1))
+        with pytest.raises(ValidationError, match="own model"):
+            verify_martingale(small_model(2), density)
+        reloaded = model_from_dict(model_to_dict(m))
+        assert reloaded is not m
+        assert bits(verify_martingale(reloaded, density)) \
+            == bits(verify_martingale(m, density))
+
+    def test_stored_levels_are_read_only(self):
+        m = small_model(1)
+        spot = SpotMeasure(m, next(all_selections(m))).as_density()
+        for density in (mixture_density(m, random_alpha(m, 1)), spot):
+            assert not any(p.flags.writeable for p in density.psi)
 
     def test_overflowing_exponential_rejected(self):
         # e^{40 * 20} overflows at step 1
