@@ -44,6 +44,24 @@ stays flat however many trees a scan covers and however deep a tree is: a
 tree with more leaves is grown whole down to the level whose nodes each
 root ``CHUNK_LEAVES`` leaves, and below it one node's subtree at a time,
 in depth-first order, adding into the same running sums.
+
+``scan`` and ``scan_min`` with ``prune`` (the exhaustive sup and inf of
+``pricing``; grid scans and coordinate ascent scan in full) skip the
+combinations that cannot win.  ``_Bound`` prices every history of the
+candidate atoms by backward induction, choosing the best pair at each node
+(Föllmer & Schied, *Stochastic Finance*): an upper (lower) price of every
+selection below a prefix.  ``_Search`` walks the full scan's batches in
+its order and drops a prefix whose bound, widened by the rounding
+allowance eta, delta proved in ``_Bound``, cannot reach the best value
+found (Land & Doig).  Every kept combination is valued as in the full
+scan, so the value, the argmax and the tie-breaking are the full scan's
+bit for bit; values within eta of each other are all valued, since only
+their last bits decide the first argmax, so a claim whose selections tie
+(a linear claim) gains nothing.  The full scan runs when one block holds
+the whole scan, a tree has more than ``CHUNK_LEAVES`` leaves, the
+candidate grid has more than ``GRID_LEAVES`` leaves, or the bound holds a
+non-finite exponential, weight, price or value or a negative payoff or
+raises (the full scan then raises its own error).
 """
 
 from __future__ import annotations
@@ -135,10 +153,10 @@ class _Nodes:
     def width(self) -> int:
         return self.price.shape[1]
 
-    def take(self, lo: int, hi: int) -> "_Nodes":
-        """Rows ``lo:hi``."""
+    def take(self, rows) -> "_Nodes":
+        """The rows ``rows`` (a slice or an index array)."""
         def cut(x):
-            return x if x is None or x.shape[0] == 1 else x[lo:hi]
+            return x if x is None or x.shape[0] == 1 else x[rows]
         return self._map(cut)
 
     def cols(self, lo: int, hi: int) -> "_Nodes":
@@ -196,6 +214,25 @@ class _Branch:
             raise ZeroDivisionError(_EQUAL_EXP)
         self.psi_d, self.psi_u = _branch_weights(ed, eu)
 
+    def pick(self, r: np.ndarray, q: np.ndarray) -> "_Branch":
+        """The entries of (row ``r[i]``, pair ``q[i]``), one pair per row:
+        shaped ``[len(r), 1, nodes | 1]``."""
+        out = _Branch.__new__(_Branch)
+        for name in self.__slots__:
+            x = getattr(self, name)
+            setattr(out, name,
+                    (x[r, q] if x.shape[0] > 1 else x[0, q])[:, None])
+        return out
+
+
+def _moved(price, e, a: float, out=None) -> np.ndarray:
+    """The price step ``price * (1 + a * (e - 1))``, in this operation
+    order, for every (node, exponential) that broadcasts together."""
+    f = e - 1.0
+    f *= a
+    f += 1.0
+    return np.multiply(price, f, out=out)
+
 
 def _children(shape, dtype=float) -> tuple[np.ndarray, np.ndarray,
                                             np.ndarray]:
@@ -222,10 +259,7 @@ def _grow(m: _Model, level: int, nodes: _Nodes, br: _Branch, eps_d, eps_u,
     shape = np.broadcast_shapes(price.shape, br.ed.shape)
     new_price, p_d, p_u = _children(shape)
     for e, out in ((br.ed, p_d), (br.eu, p_u)):
-        f = e - 1.0                       # price * (1 + a * (e - 1))
-        f *= a
-        f += 1.0
-        np.multiply(price, f, out=out)
+        _moved(price, e, a, out)
     prob = nodes.prob[:, None, :]
     new_prob, q_d, q_u = _children(shape)
     np.multiply(prob, br.psi_d, out=q_d)
@@ -284,10 +318,7 @@ def _leaf_values(m: _Model, pay: _Payoff, nodes: _Nodes,
                  acc: np.ndarray | None = None) -> np.ndarray:
     """Tree value of every row: its leaves' weight * payoff, added left to
     right in depth-first order to ``acc`` (zeros when None)."""
-    if pay.formula is not None:
-        contrib = pay.formula.values(nodes.price, nodes.psum, m.n)
-    else:
-        contrib = _path_values(m, pay.fn, nodes)
+    contrib = _payoffs(m, pay, nodes)
     contrib *= nodes.prob
     if nodes.live is not None:
         contrib[~nodes.live] = 0.0
@@ -304,6 +335,13 @@ def _leaf_values(m: _Model, pay: _Payoff, nodes: _Nodes,
         np.add.accumulate(contrib, axis=1, out=contrib)
         acc[...] = contrib[:, -1]
     return acc
+
+
+def _payoffs(m: _Model, pay: _Payoff, nodes: _Nodes) -> np.ndarray:
+    """The payoff at every leaf of ``nodes`` (a fresh array)."""
+    if pay.formula is not None:
+        return pay.formula.values(nodes.price, nodes.psum, m.n)
+    return _path_values(m, pay.fn, nodes)
 
 
 def _path_values(m: _Model, fn, nodes: _Nodes) -> np.ndarray:
@@ -396,10 +434,7 @@ def _drift_levels(steps, pairs, first: int, stop: int, price, sigma,
         exps.append(e if len(e) == price.size else e.repeat(price.size, 0))
         if level + 1 == len(steps):
             break
-        f = e - 1.0                       # price * (1 + a * (e - 1))
-        f *= steps[level].a
-        f += 1.0
-        price = (price[:, None] * f).ravel()
+        price = _moved(price[:, None], e, steps[level].a).ravel()
         vol = steps[level + 1].vol
         sigma = (np.array([vol.sigma]) if vol.kind == "constant"
                  else vol.next_sigmas(col, args).ravel())
@@ -527,6 +562,42 @@ def _deep_scan(m: _Model, pay: _Payoff, plan: _Plan, with_atoms: bool
                 pick(plan.at_u) if with_atoms else None)])
 
 
+def _walk(plan: _Plan, n: int, root, expand) -> Iterator:
+    """The lexicographic walk of a scan: the leaf batches grown from
+    ``root`` by ``expand(batch, level, lo, hi)`` (the children of every row
+    under pairs ``lo:hi``, all pairs when ``hi`` is None; None when no child
+    is kept), in lexicographic order, each of at most ``CHUNK_LEAVES``
+    leaves.  A batch has ``rows`` and ``take(rows)``."""
+    below = [0] * (n + 1)      # leaves under one row at each level
+    below[n] = 2 ** n
+    for level in range(n - 1, -1, -1):
+        below[level] = below[level + 1] * plan.pairs[level]
+
+    def walk(batch, level):
+        if batch is None:
+            return
+        if level == n:
+            yield batch
+            return
+        rows, per_row = batch.rows, below[level]
+        if rows * per_row <= CHUNK_LEAVES:
+            yield from walk(expand(batch, level, 0, None), level + 1)
+        elif per_row <= CHUNK_LEAVES:
+            step = CHUNK_LEAVES // per_row
+            for lo in range(0, rows, step):
+                yield from walk(expand(batch.take(slice(lo, lo + step)),
+                                       level, 0, None), level + 1)
+        else:
+            step = max(1, CHUNK_LEAVES // below[level + 1])
+            for r in range(rows):
+                row = batch.take(slice(r, r + 1))
+                for lo in range(0, plan.pairs[level], step):
+                    yield from walk(expand(row, level, lo, lo + step),
+                                    level + 1)
+
+    yield from walk(root, 0)
+
+
 def scan_values(model, dn_cands, up_cands, payoff, atoms_dn=None,
                 atoms_up=None) -> Iterator[np.ndarray]:
     """Tree values of every candidate combination, in lexicographic order,
@@ -535,16 +606,11 @@ def scan_values(model, dn_cands, up_cands, payoff, atoms_dn=None,
     pay = _Payoff(payoff)
     plan = _Plan(dn_cands, up_cands, atoms_dn, atoms_up)
     with_atoms = atoms_dn is not None and pay.want_paths
-    n = m.n
-    if 2 ** n > CHUNK_LEAVES:
+    if 2 ** m.n > CHUNK_LEAVES:
         yield from _deep_scan(m, pay, plan, with_atoms)
         return
-    below = [0] * (n + 1)      # leaves under one row at each level
-    below[n] = 2 ** n
-    for level in range(n - 1, -1, -1):
-        below[level] = below[level + 1] * plan.pairs[level]
 
-    def expand(nodes, level, lo=0, hi=None):
+    def expand(nodes, level, lo, hi):
         sl = slice(lo, hi)
         eps_d, eps_u = plan.eps_d[level][:, sl], plan.eps_u[level][:, sl]
         br = _Branch(nodes, eps_d, eps_u)
@@ -552,36 +618,26 @@ def scan_values(model, dn_cands, up_cands, payoff, atoms_dn=None,
         at_u = plan.at_u[level][:, sl] if with_atoms else None
         return _grow(m, level, nodes, br, eps_d, eps_u, at_d, at_u)
 
-    def walk(nodes, level):
-        if level == n:
-            yield _leaf_values(m, pay, nodes)
-            return
-        rows, per_row = nodes.rows, below[level]
-        if rows * per_row <= CHUNK_LEAVES:
-            yield from walk(expand(nodes, level), level + 1)
-        elif per_row <= CHUNK_LEAVES:
-            step = CHUNK_LEAVES // per_row
-            for lo in range(0, rows, step):
-                yield from walk(expand(nodes.take(lo, lo + step), level),
-                                level + 1)
-        else:
-            step = max(1, CHUNK_LEAVES // below[level + 1])
-            for r in range(rows):
-                row = nodes.take(r, r + 1)
-                for lo in range(0, plan.pairs[level], step):
-                    yield from walk(expand(row, level, lo, lo + step),
-                                    level + 1)
-
     with np.errstate(all="ignore"):
-        yield from walk(_root(m, pay.want_psum, pay.want_paths, with_atoms), 0)
+        for leaves in _walk(plan, m.n, _root(m, pay.want_psum, pay.want_paths,
+                                             with_atoms), expand):
+            yield _leaf_values(m, pay, leaves)
 
 
-def scan(model, dn_cands, up_cands, payoff, atoms_dn=None, atoms_up=None):
-    """Maximum tree value over every candidate combination and its per-step
-    (down, up) candidate indices; ties and NaN resolve as in a sequential
-    scan that keeps the incumbent unless a value is strictly larger
-    (indices None when no value exceeds -inf)."""
+def scan(model, dn_cands, up_cands, payoff, atoms_dn=None, atoms_up=None,
+         prune: bool = False):
+    """Maximum tree value over every candidate combination, its per-step
+    (down, up) candidate indices and the number of trees valued; ties and
+    NaN resolve as in a sequential scan that keeps the incumbent unless a
+    value is strictly larger (indices None when no value exceeds -inf).
+    With ``prune`` the combinations that cannot win are skipped by the
+    node-wise bound (``_Bound``, ``_Search``), with the same result."""
     plan = _Plan(dn_cands, up_cands, None, None)
+    search = _Search.start(model, dn_cands, up_cands, payoff, atoms_dn,
+                           atoms_up, True) if prune else None
+    if search is not None:
+        best, best_at, trees = search.run()
+        return best, plan.decode(best_at), trees
     best, best_at, offset = -_INF, None, 0
     for vals in scan_values(model, dn_cands, up_cands, payoff, atoms_dn,
                             atoms_up):
@@ -590,17 +646,370 @@ def scan(model, dn_cands, up_cands, payoff, atoms_dn=None, atoms_up=None):
         if clean[i] > best:
             best, best_at = float(clean[i]), offset + i
         offset += vals.size
-    return best, None if best_at is None else plan.decode(best_at)
+    return best, None if best_at is None else plan.decode(best_at), offset
 
 
 def scan_min(model, dn_cands, up_cands, payoff, atoms_dn=None,
-             atoms_up=None) -> float:
+             atoms_up=None, prune: bool = False) -> tuple[float, int]:
     """Minimum tree value over every candidate combination (NaN never
-    wins; +inf when there is nothing smaller)."""
-    worst = _INF
+    wins; +inf when there is nothing smaller) and the number of trees
+    valued; ``prune`` as in ``scan``."""
+    search = _Search.start(model, dn_cands, up_cands, payoff, atoms_dn,
+                           atoms_up, False) if prune else None
+    if search is not None:
+        worst, _, trees = search.run()
+        return worst, trees
+    worst, trees = _INF, 0
     for vals in scan_values(model, dn_cands, up_cands, payoff, atoms_dn,
                             atoms_up):
         low = float(np.where(np.isnan(vals), _INF, vals).min())
         if low < worst:
             worst = low
-    return worst
+        trees += vals.size
+    return worst, trees
+
+
+# -- the node-wise bound and the pruned scans ---------------------------------
+
+GRID_LEAVES = 1 << 20     # a larger candidate grid is scanned in full
+_U = math.ldexp(1.0, -53)  # the unit roundoff
+
+
+class _Bound:
+    """Node-wise upper (``maximize``) or lower prices of a scan.
+
+    The grid holds every history of the scan's candidate atoms (each
+    step's down candidates, then its up candidates; a history's index in
+    its level is row-major, step 0 most significant).  Its node prices,
+    volatilities, exponentials, weights and leaf payoffs are the engine's
+    own arithmetic (``_moved``, ``VolatilitySpec.next_sigmas``, ``_exp``,
+    ``_branch_weights``, ``_payoffs``), so at every history they equal
+    the engine's floats bit for bit.  Backward induction gives
+    V_N = payoff and V_k(h) = max (min) over the step's candidate pairs of
+    psi_d * V_{k+1}(h d) + psi_u * V_{k+1}(h u): the price of the best
+    node-wise choice of pairs, which includes every per-step selection.
+    ``zero[k]`` marks the histories below which every leaf pays exactly 0
+    (None when there is none).
+
+    ``ok`` is False, and the scan runs in full, when an exponential, a
+    weight, a price or a V is not finite (saturation, equal exponentials)
+    or a payoff is negative; the analysis below needs finite non-negative
+    terms and weights in [0, 1].
+
+    **The bound.**  Let s extend a prefix of k + 1 steps, whose level-k
+    nodes j carry the engine's weight prob_j and branch weights psi, and
+    B = sum_j prob_j * (psi_d V_{k+1}(j d) + psi_u V_{k+1}(j u)), summed in
+    floats in any order.  Then the engine's value of s obeys
+    ``value(s) <= B * (1 + eta) + delta`` (upper) or
+    ``value(s) >= B * (1 - eta) - delta`` (lower), with, for N steps and
+    L = 2^N leaves,
+
+        eta = gamma_{2L + 3N + 4},   gamma_j = j u / (1 - j u),  u = 2^-53,
+        delta = 8 L (N F + 1) 2^-1074,
+
+    F the largest payoff or grid value.  Proof (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2.2 and 3.1): every float product
+    is x y (1 + d) + e with |d| <= u and |e| <= lam = 2^-1075 (underflow),
+    and a sum of non-negative floats is (x + y)(1 + d).  Write E(s) for the
+    exact sum over leaves of (product of the float psi) * (float payoff).
+
+    1. The engine forms each leaf weight by N - 1 products from 1, times
+       the payoff, and adds the L terms one at a time.  As psi <= 1, a
+       term is within the factors (1 +- u)^N of its exact value, up to
+       (2 N F + 1) lam, and the sum adds the factors (1 +- u)^L:
+       value(s) = E(s) * prod_{N+L}(1 +- u) +- dE, dE = 2 L (2 N F + 1) lam.
+    2. V_j(h) takes two products and a sum per level, and its max (min)
+       includes s's pair, so by induction from the leaves
+       V_j(h) >= E_j(h; s) (1 - u)^{2(N-j)} - 2^{N-j+1} lam (upper; the
+       lower case mirrors every inequality), E_j the exact value of h's
+       subtree under s: psi_d + psi_u <= 2 at most doubles the inherited
+       error per level.
+    3. B takes k - 1 products for prob_j, three more per node and at most
+       2^k - 1 sums, so with m = 2^k + 2N <= L/2 + 2N factors
+       B >= E(s) (1 - u)^m - dB, dB = L (3 N F + 4) lam: the weight's
+       underflow, 2 k lam, meets a bracket <= 3F, and the V errors sum to
+       2 L lam.
+    4. With steps 1 and 3, value(s) <= (B + dB) prod_{N+L}(1 + u) /
+       (1 - u)^m + dE, and a product of n factors (1 + u)^{+-1} is at most
+       1 + gamma_n (Higham, Lemma 3.1), so with n = N + L + m <= 2L + 3N:
+       value(s) <= B (1 + gamma_n) + 2 dB + dE
+                <= B (1 + gamma_n) + L (5 N F + 5) 2^-1074.
+       The four extra units in eta and the slack in delta absorb the
+       three roundings of ``B * (1 + eta) + delta`` itself (and of the
+       lower twin).  QED.
+
+    So when the computed upper bound is below a value already reached,
+    no selection extending the prefix reaches it, nor ties it.
+    """
+
+    def __init__(self, m: _Model, pay: _Payoff, dn_cands, up_cands,
+                 atoms_dn, atoms_up, maximize: bool):
+        n = m.n
+        with_atoms = atoms_dn is not None and pay.want_paths
+        price = np.array([m.s0])
+        sigma = np.array([m.vols[0].initial_sigma()])
+        psum = price if pay.want_psum else None
+        hist = price[:, None] if pay.want_paths else None
+        codes = np.zeros(1, dtype=m.code_dtype) if with_atoms else None
+        self.n_down, self.width, weights = [], [], []
+        self.ok = False
+        for k in range(n):
+            nd = len(dn_cands[k])
+            eps = np.asarray(list(dn_cands[k]) + list(up_cands[k]),
+                             dtype=float)
+            args = sigma[:, None] * eps
+            e = _exp(args.ravel()).reshape(args.shape)
+            psi = _branch_weights(e[:, :nd, None], e[:, None, nd:])
+            if not (np.isfinite(e).all() and np.isfinite(psi).all()):
+                return
+            self.n_down.append(nd)
+            self.width.append(eps.size)
+            weights.append(psi)
+            grown = _moved(price[:, None], e, m.a[k])          # [G, c]
+            if psum is not None:
+                psum = (psum[:, None] + grown).ravel()
+            if hist is not None:
+                out = np.empty(grown.shape + (k + 2,))
+                out[..., :k + 1] = hist[:, None, :]
+                out[..., k + 1] = grown
+                hist = out.reshape(grown.size, k + 2)
+            if codes is not None:
+                cand = np.asarray(list(atoms_dn[k]) + list(atoms_up[k]),
+                                  dtype=m.code_dtype)
+                codes = (codes[:, None] * m.radix[k] + cand).ravel()
+            if k + 1 < n:
+                vol = m.vols[k + 1]
+                sigma = (np.array([vol.sigma]) if vol.kind == "constant"
+                         else np.broadcast_to(vol.next_sigmas(
+                             sigma[:, None], args), grown.shape).ravel())
+            price = grown.ravel()
+            if not np.isfinite(price).all():
+                return
+        leaves = _Nodes(price[None], None, None if psum is None
+                        else psum[None], None, None,
+                        None if hist is None else hist[None],
+                        None if codes is None else codes[None])
+        pay_n = _payoffs(m, pay, leaves)[0]
+        if not (np.isfinite(pay_n).all() and (pay_n >= 0.0).all()):
+            return
+        extreme = np.max if maximize else np.min
+        self.value, self.zero = [None] * n + [pay_n], [None] * n + [
+            pay_n == 0.0]
+        for k in range(n - 1, -1, -1):
+            nd, c = self.n_down[k], self.width[k]
+            child = self.value[k + 1].reshape(-1, c)
+            psi_d, psi_u = weights[k]
+            t = psi_d * child[:, :nd, None] + psi_u * child[:, None, nd:]
+            self.value[k] = extreme(t.reshape(t.shape[0], -1), axis=1)
+            self.zero[k] = self.zero[k + 1].reshape(-1, c).all(axis=1)
+        # None where no history's subtree pays exactly 0 throughout
+        self.zero = [z if z.any() else None for z in self.zero]
+        top = max(float(v.max()) for v in self.value)
+        if not math.isfinite(top):
+            return
+        leaves_n = 2 ** n
+        steps = 2 * leaves_n + 3 * n + 4
+        self.eta = steps * _U / (1.0 - steps * _U)
+        self.delta = math.ldexp(8.0 * leaves_n * (n * top + 1.0), -1074)
+        self.ok = True
+
+
+class _Prefixes:
+    """A batch of the pruned walk: its rows' nodes, each row's prefix as a
+    flat lexicographic index and each node's history in the bound's grid
+    (None for leaves)."""
+
+    __slots__ = ("nodes", "codes", "hidx")
+
+    def __init__(self, nodes: _Nodes, codes: np.ndarray, hidx: np.ndarray):
+        self.nodes = nodes
+        self.codes = codes
+        self.hidx = hidx
+
+    @property
+    def rows(self) -> int:
+        return self.codes.size
+
+    def take(self, rows) -> "_Prefixes":
+        return _Prefixes(self.nodes.take(rows), self.codes[rows],
+                         None if self.hidx is None else self.hidx[rows])
+
+
+class _Search:
+    """``scan`` / ``scan_min`` by branch and bound (Land & Doig 1960) on
+    ``_Bound``: the walk of the full scan, in the same lexicographic order
+    and batches, except that before a batch's children are grown each
+    child prefix gets its bound from its row's own weights, and a child
+    that cannot win is dropped with every selection below it.  At the last
+    step a child is one tree, whose bound costs about what valuing it
+    does, so those children are all valued.
+
+    The incumbent starts as the engine value of one greedy descent (the
+    child of best bound at every level) and is the best value reached so
+    far.  A maximum drops a child whose upper bound is below it: no
+    selection there reaches it, nor ties it.  It also drops a child whose
+    every reachable leaf pays exactly 0 once a selection earlier in
+    lexicographic order has reached a value >= 0: the child's selections
+    are worth exactly 0.0 and cannot replace that one under the strict
+    ``>`` rule.  Every kept selection is valued by the engine as in the
+    full scan, so the maximum, its first argmax and the tie-breaking are
+    those of the full scan: the first maximiser is never dropped.  Ties
+    cost time: a selection within eta of the incumbent is valued, since
+    only its last bits can say which of the two comes first.  A minimum
+    has no argmax, so it drops a child whose lower bound (at least 0, as
+    payoffs are non-negative) is not below the incumbent, and counts the
+    greedy selection among its candidates."""
+
+    def __init__(self, m: _Model, pay: _Payoff, plan: _Plan,
+                 with_atoms: bool, bound: _Bound, maximize: bool):
+        self.m, self.pay, self.plan = m, pay, plan
+        self.with_atoms, self.bound, self.maximize = with_atoms, bound, \
+            maximize
+        self.best = -_INF if maximize else _INF   # of the walk, in order
+        self.best_at = None
+        self.incumbent = self.best
+        self.trees = 0
+
+    @classmethod
+    def start(cls, model, dn_cands, up_cands, payoff, atoms_dn, atoms_up,
+              maximize: bool) -> "_Search | None":
+        """The pruned scan, or None where the full scan runs instead: when
+        the scan fits in one block (nothing to skip), a tree has more than
+        ``CHUNK_LEAVES`` leaves (rows are held whole), the grid has more
+        than ``GRID_LEAVES`` leaves, or the bound is not ``ok`` or raises
+        (the full scan then raises its own error)."""
+        sizes = [(len(d), len(u)) for d, u in zip(dn_cands, up_cands)]
+        leaves = 2 ** len(sizes)
+        if leaves > CHUNK_LEAVES \
+                or math.prod(d * u for d, u in sizes) * leaves <= CHUNK_LEAVES \
+                or math.prod(d + u for d, u in sizes) > GRID_LEAVES:
+            return None
+        m, pay = _Model(model), _Payoff(payoff)
+        plan = _Plan(dn_cands, up_cands, atoms_dn, atoms_up)
+        with_atoms = atoms_dn is not None and pay.want_paths
+        try:
+            with np.errstate(all="ignore"):
+                bound = _Bound(m, pay, dn_cands, up_cands, atoms_dn,
+                               atoms_up, maximize)
+        except Exception:     # a payoff's own error, say: the full scan
+            return None       # meets it where it occurs and raises it
+        return cls(m, pay, plan, with_atoms, bound, maximize) \
+            if bound.ok else None
+
+    def run(self) -> tuple[float, int | None, int]:
+        """The extreme value, its flat index (maximum only) and the number
+        of trees valued."""
+        m, pay = self.m, self.pay
+        root = _Prefixes(_root(m, pay.want_psum, pay.want_paths,
+                               self.with_atoms),
+                         np.zeros(1, dtype=np.int64),
+                         np.zeros((1, 1), dtype=np.int32))
+        with np.errstate(all="ignore"):
+            row = root
+            for level in range(m.n):
+                br, cols = self._branch(row, level, 0, None)
+                b = self._bounds(row, level, br, cols)[0]
+                best = np.argmax(b) if self.maximize else np.argmin(b)
+                row = self._grow(row, level, 0, br, cols,
+                                 np.zeros(1, dtype=np.intp),
+                                 np.array([best]))
+            self.incumbent = float(_leaf_values(m, pay, row.nodes)[0])
+            self.trees = 1
+            for leaves in _walk(self.plan, m.n, root, self._expand):
+                self._value(leaves)
+        if self.maximize:
+            return self.best, self.best_at, self.trees
+        return self.incumbent, None, self.trees
+
+    def _value(self, leaves: _Prefixes) -> None:
+        vals = _leaf_values(self.m, self.pay, leaves.nodes)
+        self.trees += vals.size
+        if self.maximize:
+            i = int(np.argmax(vals))
+            if vals[i] > self.best:
+                self.best, self.best_at = float(vals[i]), int(leaves.codes[i])
+                self.incumbent = max(self.incumbent, self.best)
+        else:
+            self.incumbent = min(self.incumbent, float(vals.min()))
+
+    def _branch(self, batch: _Prefixes, level: int, lo: int, hi):
+        """The branch of every (row, pair) child for pairs ``lo:hi``, and
+        the pairs' down and up candidates (the columns of a grid node's
+        children)."""
+        plan = self.plan
+        sl = slice(lo, hi)
+        br = _Branch(batch.nodes, plan.eps_d[level][:, sl],
+                     plan.eps_u[level][:, sl])
+        i, j = np.divmod(np.arange(plan.pairs[level], dtype=np.int32)[sl],
+                         plan.n_up[level])
+        return br, (i, j + self.bound.n_down[level])
+
+    def _bounds(self, batch: _Prefixes, level: int, br: _Branch, cols):
+        """The bound of every (row, pair) child."""
+        bound = self.bound
+        v = bound.value[level + 1].reshape(-1, bound.width[level])[
+            batch.hidx].transpose(0, 2, 1)             # [rows, c, nodes]
+        t = br.psi_d * v[:, cols[0]]
+        t += br.psi_u * v[:, cols[1]]
+        t *= batch.nodes.prob[:, None, :]
+        return t.sum(axis=2)
+
+    def _expand(self, batch: _Prefixes, level: int, lo: int, hi):
+        br, cols = self._branch(batch, level, lo, hi)
+        if level + 1 == self.m.n:
+            return self._grow(batch, level, lo, br, cols, None, None)
+        b = self._bounds(batch, level, br, cols)
+        bound = self.bound
+        if self.maximize:
+            keep = ~(b * (1.0 + bound.eta) + bound.delta < self.incumbent)
+            zero = bound.zero[level + 1]
+            if self.best >= 0.0 and zero is not None:
+                zero = zero.reshape(-1, bound.width[level])[
+                    batch.hidx]                        # [rows, nodes, c]
+                keep &= ~(zero[:, :, cols[0]] & zero[:, :, cols[1]]).all(
+                    axis=1)
+        else:
+            low = b * (1.0 - bound.eta) - bound.delta
+            keep = np.maximum(low, 0.0) < self.incumbent
+        r, q = np.nonzero(keep)
+        if r.size == 0:
+            return None
+        if r.size == keep.size:
+            r = q = None
+        return self._grow(batch, level, lo, br, cols, r, q)
+
+    def _grow(self, batch: _Prefixes, level: int, lo: int, br: _Branch,
+              cols, r, q) -> _Prefixes:
+        """The children (row ``r[i]``, pair ``lo + q[i]``), in that order;
+        every child when ``r`` is None."""
+        plan = self.plan
+        hi = lo + br.ed.shape[1]
+        eps_d, eps_u = plan.eps_d[level][:, lo:hi], plan.eps_u[level][:, lo:hi]
+        at_d = plan.at_d[level][:, lo:hi] if self.with_atoms else None
+        at_u = plan.at_u[level][:, lo:hi] if self.with_atoms else None
+        pairs, width = plan.pairs[level], self.bound.width[level]
+        leaves = level + 1 == self.m.n     # no bound below: no grid index
+        if r is None:
+            codes = (batch.codes[:, None] * pairs
+                     + np.arange(lo, hi)).ravel()
+            nodes = _grow(self.m, level, batch.nodes, br, eps_d, eps_u,
+                          at_d, at_u)
+            if leaves:
+                return _Prefixes(nodes, codes, None)
+            base = batch.hidx[:, None, :] * width
+            shape = (batch.rows, hi - lo, batch.hidx.shape[1])
+            return _Prefixes(nodes, codes, _interleave(
+                base + cols[0][:, None], base + cols[1][:, None], shape))
+
+        def one(x):            # [1, pairs] per step -> [kept, 1]
+            return None if x is None else x[0, q][:, None]
+        nodes = _grow(self.m, level, batch.nodes.take(r), br.pick(r, q),
+                      one(eps_d), one(eps_u), one(at_d), one(at_u))
+        codes = batch.codes[r] * pairs + lo + q
+        if leaves:
+            return _Prefixes(nodes, codes, None)
+        base = (batch.hidx[r] * width)[:, None, :]
+        shape = (r.size, 1, batch.hidx.shape[1])
+        return _Prefixes(nodes, codes, _interleave(
+            base + cols[0][q][:, None, None],
+            base + cols[1][q][:, None, None], shape))

@@ -158,8 +158,16 @@ class AtomPairSelection:
 
 def validate_selection(model: EvolutionModel,
                        selection: AtomPairSelection) -> None:
+    _selection_eps(model, selection)
+
+
+def _selection_eps(model: EvolutionModel,
+                   selection: AtomPairSelection) -> tuple[list, list]:
+    """The selection's (down eps, up eps) per step, checked in the same
+    pass: one pair per step, in range, down eps < 0 < up eps."""
     if len(selection.pairs) != model.n_steps:
         raise ValidationError("selection length does not match model horizon")
+    eps_dn, eps_up = [], []
     for n, (d, u) in enumerate(selection.pairs, start=1):
         shocks = model.steps[n - 1].shocks
         if not (0 <= d < len(shocks) and 0 <= u < len(shocks)):
@@ -170,6 +178,9 @@ def validate_selection(model: EvolutionModel,
         if not shocks[u].eps > 0:
             raise ValidationError(
                 f"up atom at step {n} must have eps > 0, got {shocks[u].eps}")
+        eps_dn.append(shocks[d].eps)
+        eps_up.append(shocks[u].eps)
+    return eps_dn, eps_up
 
 
 def selection_count(model: EvolutionModel) -> int:
@@ -216,16 +227,6 @@ def psi_weights(model: EvolutionModel, history: Sequence[float],
     return float(psi_d), float(psi_u)
 
 
-def _selection_eps(model: EvolutionModel,
-                   selection: AtomPairSelection) -> tuple[list, list]:
-    eps_dn, eps_up = [], []
-    for n, (d, u) in enumerate(selection.pairs):
-        shocks = model.steps[n].shocks
-        eps_dn.append(shocks[d].eps)
-        eps_up.append(shocks[u].eps)
-    return eps_dn, eps_up
-
-
 def spot_tree_value(model: EvolutionModel, eps_dn: Sequence[float],
                     eps_up: Sequence[float], payoff) -> float:
     """Spot-tree expectation for explicit eps pairs (used by grid search)."""
@@ -237,10 +238,9 @@ def spot_tree_value(model: EvolutionModel, eps_dn: Sequence[float],
 def spot_expectation(model: EvolutionModel, selection: AtomPairSelection,
                      payoff) -> float:
     """Expectation of a path payoff under one spot measure."""
-    validate_selection(model, selection)
+    eps_dn, eps_up = _selection_eps(model, selection)
     if 2 ** model.n_steps > PATH_CAP:
         raise CapExceededError(f"2^{model.n_steps} branches exceed cap")
-    eps_dn, eps_up = _selection_eps(model, selection)
     atoms_dn = [d for d, _ in selection.pairs]
     atoms_up = [u for _, u in selection.pairs]
     return _engine.value(model, eps_dn, eps_up, payoff, atoms_dn, atoms_up)
@@ -252,7 +252,10 @@ class SpotMeasure:
     selection: AtomPairSelection
 
     def __post_init__(self):
-        validate_selection(self.model, self.selection)
+        # checked once; the eps lists are kept for every drift call (the
+        # dataclass is frozen, and the lists are not fields)
+        object.__setattr__(self, "_eps",
+                           _selection_eps(self.model, self.selection))
 
     def expectation(self, payoff) -> float:
         return spot_expectation(self.model, self.selection, payoff)
@@ -260,8 +263,7 @@ class SpotMeasure:
     def max_node_drift(self) -> float:
         """Largest |conditional one-step drift| / node price over the tree
         the engine prices (``_engine.max_drift`` states the rule)."""
-        eps_dn, eps_up = _selection_eps(self.model, self.selection)
-        return _engine.max_drift(self.model, eps_dn, eps_up)
+        return _engine.max_drift(self.model, *self._eps)
 
     def as_density(self) -> "MeasureDensity":
         """Express the spot measure as a density on the full space.

@@ -17,6 +17,14 @@ with ``mean_min = s0 * sum_{i=0..N} prod_{s<=i}(1 - a_s) / (N + 1)``, the
 arithmetic path mean of the all-down limit.  Grid-mode results carry a
 crude one-sided gap bound ``s0 * N * (exp(-sigma_lo*hi) + exp(sigma_lo*lo))``
 so search values are never silently conflated with the analytic limits.
+
+The exhaustive sup and inf skip the selections that a node-wise
+backward-induction bound rules out and value every other one as the full
+scan does (``_engine.scan`` / ``scan_min`` with ``prune``; the bound, its
+rounding allowance and its fallbacks to the full scan are stated there),
+so they equal the full scan, and ``oracle.brute_sup_selections``, bit for
+bit.  ``SupResult.trees`` and ``InfResult.trees`` count the spot trees
+the engine valued.
 """
 
 from __future__ import annotations
@@ -257,6 +265,7 @@ class SupResult:
     mode: str
     provenance: str
     gap_bound: float | None = None
+    trees: int = 0          # spot trees the engine valued
 
 
 @dataclass(frozen=True)
@@ -264,6 +273,7 @@ class InfResult:
     value: float
     exact: bool
     provenance: str
+    trees: int = 0          # spot trees the engine valued
 
 
 # -- searches --------------------------------------------------------------
@@ -302,9 +312,11 @@ def _ascent(model: EvolutionModel, payoff: Payoff, dn_cands, up_cands,
     the largest |eps|, so ties resolve toward larger shocks.  Every trial of
     a sweep differs from the incumbent at that step only, so one scan over
     the step's pairs, with the other steps held, evaluates the sweep.
+    Returns the best value, its pairs and the number of trees valued.
     """
     n = model.n_steps
     state = [(0, 0)] * n
+    trees = 1
 
     def held(st, cands, k):
         return [cands[s] if s == st else [cands[s][state[s][k]]]
@@ -315,15 +327,16 @@ def _ascent(model: EvolutionModel, payoff: Payoff, dn_cands, up_cands,
     for _ in range(config.max_rounds):
         round_start = best
         for st in range(n):
-            v, pairs = _engine.scan(model, held(st, dn_cands, 0),
-                                    held(st, up_cands, 1), payoff)
+            v, pairs, count = _engine.scan(model, held(st, dn_cands, 0),
+                                           held(st, up_cands, 1), payoff)
+            trees += count
             if v > best:
                 best = v
                 state = list(state)
                 state[st] = pairs[st]
         if best - round_start <= config.tol:
             break
-    return best, state
+    return best, state, trees
 
 
 def superhedge_sup(model: EvolutionModel, payoff: Payoff,
@@ -343,15 +356,16 @@ def superhedge_sup(model: EvolutionModel, payoff: Payoff,
         if count > SELECTION_CAP:
             raise CapExceededError(f"{count} selections exceed cap")
         atoms_dn, atoms_up, dn_cands, up_cands = _atom_candidates(model)
-        value, pairs = _engine.scan(model, dn_cands, up_cands, payoff,
-                                    atoms_dn, atoms_up)
+        value, pairs, trees = _engine.scan(model, dn_cands, up_cands, payoff,
+                                           atoms_dn, atoms_up, prune=True)
         selection = AtomPairSelection(tuple(
             (atoms_dn[st][pairs[st][0]], atoms_up[st][pairs[st][1]])
             for st in range(n)))
         eps_pairs = tuple((dn_cands[st][pairs[st][0]],
                            up_cands[st][pairs[st][1]]) for st in range(n))
         return SupResult(value, selection, eps_pairs, config.mode,
-                         "exact maximum over model-atom selections")
+                         "exact maximum over model-atom selections",
+                         trees=trees)
 
     if payoff.kind == "table":
         raise ValidationError("path-table payoffs require model atoms")
@@ -362,10 +376,11 @@ def superhedge_sup(model: EvolutionModel, payoff: Payoff,
     gap = _grid_gap_bound(model, config)
 
     if config.mode == "grid" and combos <= SELECTION_CAP:
-        value, pairs = _engine.scan(model, dn_cands, up_cands, payoff)
+        value, pairs, trees = _engine.scan(model, dn_cands, up_cands, payoff)
         how = "exhaustive grid scan"
     else:
-        value, pairs = _ascent(model, payoff, dn_cands, up_cands, config)
+        value, pairs, trees = _ascent(model, payoff, dn_cands, up_cands,
+                                      config)
         how = ("coordinate ascent on the grid (combination count "
                f"{combos} above cap)" if config.mode == "grid"
                else "coordinate ascent on the grid")
@@ -374,7 +389,7 @@ def superhedge_sup(model: EvolutionModel, payoff: Payoff,
     provenance = (f"{how}; search value underestimates the analytic "
                   f"supremum by at most {gap:.3e}")
     return SupResult(value, None, eps_pairs, config.mode, provenance,
-                     gap_bound=gap)
+                     gap_bound=gap, trees=trees)
 
 
 def superhedge_inf(model: EvolutionModel, payoff: Payoff,
@@ -391,8 +406,8 @@ def superhedge_inf(model: EvolutionModel, payoff: Payoff,
         if selection_count(model) > SELECTION_CAP:
             raise CapExceededError("selection count exceeds cap")
         atoms_dn, atoms_up, dn_cands, up_cands = _atom_candidates(model)
-        worst = _engine.scan_min(model, dn_cands, up_cands, payoff, atoms_dn,
-                                 atoms_up)
+        worst, trees = _engine.scan_min(model, dn_cands, up_cands, payoff,
+                                        atoms_dn, atoms_up, prune=True)
     else:
         if payoff.kind == "table":
             raise ValidationError("path-table payoffs require model atoms")
@@ -400,10 +415,10 @@ def superhedge_inf(model: EvolutionModel, payoff: Payoff,
         if (len(dn_cands[0]) * len(up_cands[0])) ** model.n_steps \
                 > SELECTION_CAP:
             raise CapExceededError("grid combination count exceeds cap")
-        worst = _engine.scan_min(model, dn_cands, up_cands, payoff)
+        worst, trees = _engine.scan_min(model, dn_cands, up_cands, payoff)
     return InfResult(worst, False,
                      "upper estimate of inf (non-convex payoff; minimum over "
-                     "the searched spot measures)")
+                     "the searched spot measures)", trees)
 
 
 # -- closed forms -----------------------------------------------------------

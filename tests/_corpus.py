@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import numpy as np
 
-from superhedge import (EvolutionModel, ShockAtom, StepSpec,
+from superhedge import (EvolutionModel, Payoff, ShockAtom, StepSpec,
                         SupermartingaleSurface, VolatilitySpec)
 from superhedge._rng import SplitMix64
 from superhedge.measures import Lattice
@@ -51,6 +52,40 @@ def random_model(seed: int, n_max: int = 4, atoms_max: int = 4,
     steps = tuple(random_step(rng, a_hi, atoms_max, vol_kinds, include_zero)
                   for _ in range(n))
     return EvolutionModel(rng.uniform_in(*s0_range), steps)
+
+
+def fixed_garch8() -> EvolutionModel:
+    """The fixed 8-step GARCH(1,1) model of the benchmark
+    (``fixed_family_models`` in ``bench/workloads.py``, drawn from the same
+    stream): 4 atoms per step, 65,536 paths and 11,664 atom-pair
+    selections."""
+    rng = random.Random("fixed:garch8")
+    steps = []
+    for pairs in (4, 4, 3, 3, 3, 3, 3, 3):
+        rng.choice((1, 2))      # the benchmark draws every split choice
+        split = rng.choice((1, 3))
+        n_down = 2 if pairs == 4 else split
+        eps = sorted(-rng.uniform(0.05, 1.5) for _ in range(n_down))
+        eps += sorted(rng.uniform(0.05, 1.5) for _ in range(4 - n_down))
+        raw = [rng.uniform(0.05, 1.0) for _ in eps]
+        probs = [r / sum(raw) for r in raw]
+        probs[-1] = 1.0 - sum(probs[:-1])
+        omega0, alpha1 = rng.uniform(0.01, 0.09), rng.uniform(0.0, 0.3)
+        vol = VolatilitySpec.garch11(omega0, alpha1, rng.uniform(0.0, 0.4),
+                                     0.05)
+        steps.append(StepSpec(rng.uniform(0.05, 0.9), tuple(
+            ShockAtom(e, p) for e, p in zip(eps, probs)), vol))
+    return EvolutionModel(rng.uniform(50.0, 150.0), tuple(steps))
+
+
+def payoff_menu(m: EvolutionModel) -> tuple[Payoff, ...]:
+    """The six payoffs of the oracle agreement corpus."""
+    return (Payoff.constant(1.0),
+            Payoff.piecewise_linear([(0.0, 0.0)], 1.0),
+            Payoff.call(m.s0),
+            Payoff.put(1.1 * m.s0),
+            Payoff.asian_call(0.9 * m.s0),
+            Payoff.asian_put(1.1 * m.s0))
 
 
 def two_point_model(s0: float, a: float, sigma: float, eps: float,

@@ -66,6 +66,7 @@ class TestPrice:
                      "--out", str(out)]) == 0
         exhaustive = json.loads(out.read_text())
         assert exhaustive["argmax_selection"] == [[0, 1], [0, 1]]
+        assert exhaustive["stats"] == {"selections": 1, "trees": 1}
         assert main(["price", "--model", model_file, "--payoff", "call",
                      "--strike", "30", "--method", "grid",
                      "--out", str(out)]) == 0
@@ -75,11 +76,35 @@ class TestPrice:
 
     def test_byte_identical_reports(self, model_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for path in (a, b):
-            main(["price", "--model", model_file, "--payoff", "asian_put",
-                  "--strike", "60", "--method", "grid", "--eps-range=-10,10",
-                  "--grid-points", "25", "--out", str(path)])
-        assert a.read_bytes() == b.read_bytes()
+        for method in (["grid", "--eps-range=-10,10", "--grid-points", "25"],
+                       ["exhaustive"]):
+            for path in (a, b):
+                main(["price", "--model", model_file, "--payoff", "asian_put",
+                      "--strike", "60", "--method", *method,
+                      "--out", str(path)])
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_exhaustive_stats(self, tmp_path):
+        # 4,096 selections of 64 leaves: more than one block, so the scan
+        # prunes and values few trees, the same ones on every run
+        step = {"a": 0.4, "vol": {"kind": "garch11", "omega0": 0.04,
+                                  "alpha1": 0.2, "beta1": 0.3,
+                                  "floor": 0.05},
+                "shocks": [{"eps": e, "prob": 0.25}
+                           for e in (-0.9, -0.3, 0.4, 1.1)]}
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps({"s0": 100.0, "steps": [step] * 6}))
+        reports = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert main(["price", "--model", str(path), "--payoff", "call",
+                         "--strike", "100", "--method", "exhaustive",
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        stats = json.loads(reports[0])["stats"]
+        assert stats["selections"] == 4096
+        assert 1 <= stats["trees"] < 100
 
     def test_cap_exit_code(self, tmp_path):
         big = dict(TWO_STEP)

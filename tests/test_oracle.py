@@ -6,16 +6,7 @@ from superhedge import (CapExceededError, OracleBudget, Payoff, SearchConfig,
                         superhedge_sup)
 from superhedge.measures import validate_alpha
 
-from _corpus import chain_model, random_model, two_point_model
-
-
-def payoff_menu(m):
-    return (Payoff.constant(1.0),
-            Payoff.piecewise_linear([(0.0, 0.0)], 1.0),
-            Payoff.call(m.s0),
-            Payoff.put(1.1 * m.s0),
-            Payoff.asian_call(0.9 * m.s0),
-            Payoff.asian_put(1.1 * m.s0))
+from _corpus import chain_model, payoff_menu, random_model, two_point_model
 
 
 class TestBruteExpectation:
