@@ -20,9 +20,11 @@ spell its path.  ``value`` evaluates one tree given by its shocks.
 combination of per-step candidate pairs in lexicographic order (step 0
 most significant, down candidate the major index within a step); rows
 that share a prefix share its nodes.  ``max_drift`` gives the largest
-relative one-step drift over the nodes of the tree ``value`` evaluates;
-it keeps on the model the levels of its last tree that are grown whole,
-and regrows them only from the first step whose pair changed.
+relative one-step drift over the nodes of the tree ``value`` evaluates.
+It walks a block of trees at once, every selection of the model's
+candidate pairs that shares the call's pairs above a level, with the same
+``[completions, nodes]`` level arrays; it keeps the block's outcomes on
+the model, so a sweep over the selections pays one walk per block.
 
 Results are bit-identical to a depth-first scalar walk (``oracle``
 re-derives them leaf by leaf) because:
@@ -39,7 +41,8 @@ re-derives them leaf by leaf) because:
   per distinct argument (``np.exp`` differs from it in the last bit on
   some inputs).
 
-Work is cut into blocks of at most ``CHUNK_LEAVES`` leaves, so memory
+Work is cut into blocks of at most ``CHUNK_LEAVES`` leaves (for drifts,
+nodes of the last level that has drifts, the leaves' parents), so memory
 stays flat however many trees a scan covers and however deep a tree is: a
 tree with more leaves is grown whole down to the level whose nodes each
 root ``CHUNK_LEAVES`` leaves, and below it one node's subtree at a time,
@@ -420,52 +423,161 @@ def value(model, eps_dn, eps_up, payoff, atoms_dn=None,
                            atoms_up)
 
 
-def _drift_levels(steps, pairs, first: int, stop: int, price, sigma,
-                  before=(0.0, None)):
-    """Grow one spot tree from the nodes of level ``first`` (prices
-    ``price``, volatility ``sigma``, one value when shared) down to level
-    ``stop``: the (price, sigma) nodes of the levels grown, and after each
-    level the running largest ratio and first failure, from ``before``."""
-    nodes, exps = [(price, sigma)], []
-    for level in range(first, stop):
-        col = sigma[:, None]
-        args = col * np.array(pairs[level])
-        e = _exp(args.ravel()).reshape(args.shape)
-        exps.append(e if len(e) == price.size else e.repeat(price.size, 0))
-        if level + 1 == len(steps):
-            break
-        price = _moved(price[:, None], e, steps[level].a).ravel()
-        vol = steps[level + 1].vol
-        sigma = (np.array([vol.sigma]) if vol.kind == "constant"
-                 else vol.next_sigmas(col, args).ravel())
-        if 1 < sigma.size < price.size:
-            sigma = np.tile(sigma, price.size // 2)
-        nodes.append((price, sigma))
-    sizes = [p.size for p, _ in nodes[:len(exps)]]
-    starts = [0, *itertools.accumulate(sizes[:-1])]
-    s = np.concatenate([p for p, _ in nodes[:len(exps)]])
-    e = np.concatenate(exps)
-    ed, eu = e[:, 0], e[:, 1]
+def _drift_level(step, next_vol, price, sigma, eps):
+    """One level of a block of spot trees: ``rows`` partial trees whose
+    nodes have prices ``price`` [rows, nodes] and volatilities ``sigma``
+    (broadcasting to it), each continued by every candidate pair of
+    ``eps`` [pairs, 2] (down, up shock).  Per (row, pair): the largest
+    drift ratio over the row's nodes (NaN never wins; at least 0), and
+    whether a node's two exponentials are equal or its price is 0.  Then
+    the next level's (price, sigma), ``[rows * pairs, 2 * nodes]`` with
+    row ``r * pairs + p``, nodes in depth-first order; None below the
+    last step (``next_vol``, the next step's volatility law, is None)."""
+    s = price[:, :, None]                             # [rows, nodes, 1]
+    args = sigma[:, :, None, None] * eps              # [rows, nodes, pairs, 2]
+    e = _exp(args.ravel()).reshape(args.shape)
+    ed, eu = e[..., 0], e[..., 1]
     psi_d, psi_u = _branch_weights(ed, eu)
-    pa = s * np.array([st.a for st in steps[first:stop]]).repeat(sizes)
+    pa = s * step.a
     em1 = e - 1.0
     # a saturated up branch has weight 0 and adds no drift, not 0 * inf
-    ratio = np.abs(psi_d * (pa * em1[:, 0]) + np.where(
-        eu == _INF, 0.0, psi_u * (pa * em1[:, 1]))) / s
-    worst, failure = before
-    running = []
-    for lo, size, top in zip(starts, sizes,
-                             np.maximum.reduceat(ratio, starts).tolist()):
-        if not math.isfinite(top):    # a failing node's ratio is inf or NaN
-            at = slice(lo, lo + size)
-            top = float(np.fmax.reduce(ratio[at], initial=0.0))
-            if (ed[at] == eu[at]).any():
-                failure = _EQUAL_EXP
-            elif failure is None and (s[at] == 0.0).any():
-                failure = "a node price of the spot tree is 0"
-        worst = max(worst, top)
-        running.append((worst, failure))
-    return tuple(nodes[1:]), tuple(running)
+    ratio = np.abs(psi_d * (pa * em1[..., 0]) + np.where(
+        eu == _INF, 0.0, psi_u * (pa * em1[..., 1]))) / s
+    top = np.fmax.reduce(ratio, axis=1, initial=0.0)
+    equal = np.broadcast_to((ed == eu).any(axis=1), top.shape)
+    zero = np.broadcast_to((s == 0.0).any(axis=1), top.shape)
+    if next_vol is None:
+        return top, equal, zero, None
+    shape = (price.shape[0], eps.shape[0], price.shape[1], 2)
+    child = _moved(price[:, None, :, None], e.transpose(0, 2, 1, 3), step.a,
+                   np.empty(shape))
+    if next_vol.kind == "constant":
+        sig = np.full((1, 1), next_vol.sigma)
+    else:
+        sig = np.broadcast_to(next_vol.next_sigmas(
+            sigma[:, :, None, None], args).transpose(0, 2, 1, 3), shape)
+        sig = sig.reshape(shape[0] * shape[1], -1)
+    return top, equal, zero, (child.reshape(shape[0] * shape[1], -1), sig)
+
+
+def _drift_walk(steps, eps, first: int, stop: int, price, sigma):
+    """Grow a block of spot trees from the nodes of level ``first`` (one
+    row) down to level ``stop``, level ``k`` under every pair of
+    ``eps[k]``: per completion (mixed radix, level ``first`` most
+    significant) the largest ratio and the two failure flags of the levels
+    grown, and the (price, sigma) nodes of level ``stop`` (None at the
+    leaves)."""
+    top = np.zeros(1)
+    equal = zero = np.zeros(1, dtype=bool)
+    nodes = (price, sigma)
+    for level in range(first, stop):
+        next_vol = steps[level + 1].vol if level + 1 < len(steps) else None
+        t, eq, z, nodes = _drift_level(steps[level], next_vol, *nodes,
+                                       eps[level])
+        top = np.maximum(top[:, None], t).ravel()
+        equal = (equal[:, None] | eq).ravel()
+        zero = (zero[:, None] | z).ravel()
+    return top, equal, zero, nodes
+
+
+_ZERO_PRICE = "a node price of the spot tree is 0"
+
+
+def _outcomes(top, equal, zero) -> tuple:
+    """Per completion its drift (+0.0 when no ratio is positive), or the
+    message it raises: equal exponentials before a zero price."""
+    out = np.where(top > 0.0, top, 0.0).tolist()
+    for i in np.flatnonzero(zero).tolist():
+        out[i] = _ZERO_PRICE
+    for i in np.flatnonzero(equal).tolist():
+        out[i] = _EQUAL_EXP
+    return tuple(out)
+
+
+def _root_nodes(model):
+    return (np.full((1, 1), model.s0),
+            np.full((1, 1), model.steps[0].vol.initial_sigma()))
+
+
+class _DriftBlock:
+    """The drift outcomes of every selection whose pairs above ``level``
+    are ``prefix``.  A shallow block (``split`` False) covers every
+    completion below ``level`` in ``where`` (per level, pair -> candidate
+    index) and holds one outcome per completion.  A split block (a tree of
+    more than ``CHUNK_LEAVES`` leaves, ``level`` its split level) holds the
+    outcome of the levels above and their nodes at ``level``; a call walks
+    the subtrees below them.  Never written once built."""
+
+    __slots__ = ("split", "level", "prefix", "where", "outcomes", "nodes")
+
+    def __init__(self, split, level, prefix, where, outcomes, nodes):
+        self.split = split
+        self.level = level
+        self.prefix = prefix
+        self.where = where
+        self.outcomes = outcomes
+        self.nodes = nodes
+
+    def find(self, pairs) -> int | None:
+        """The completion index of ``pairs``, or None outside the block."""
+        if pairs[:self.level] != self.prefix:
+            return None
+        i = 0
+        for index, pair in zip(self.where, pairs[self.level:]):
+            j = index.get(pair)
+            if j is None:
+                return None
+            i = i * len(index) + j
+        return i
+
+
+def _block_level(counts) -> int:
+    """The first level whose block (every completion of ``counts`` pairs
+    per step below it) holds at most ``CHUNK_LEAVES`` nodes at a tree's
+    last drift level, ``2**(n - 1)`` per tree."""
+    n = len(counts)
+    completions = 1
+    for level in range(n - 1, -1, -1):
+        completions *= counts[level]
+        if completions * 2 ** (n - 1) > CHUNK_LEAVES:
+            return level + 1
+    return 0
+
+
+def _drift_block(model, pairs) -> _DriftBlock:
+    """The shallow block of ``pairs``: one walk over every candidate pair
+    (``EvolutionModel.spot_pairs``, as ``all_selections`` reads them) below
+    the block level, and the call's own pairs above it.  A level whose
+    candidates miss the call's pair takes that pair alone."""
+    steps = model.steps
+    cands = []
+    for k, step in enumerate(steps):
+        c = tuple((step.shocks[d].eps, step.shocks[u].eps)
+                  for d, u in model.spot_pairs(k + 1))
+        cands.append(c if pairs[k] in c else (pairs[k],))
+    level = _block_level([len(c) for c in cands])
+    eps = [np.array(pairs[k:k + 1]) for k in range(level)] \
+        + [np.array(c) for c in cands[level:]]
+    top, equal, zero, _ = _drift_walk(steps, eps, 0, len(steps),
+                                      *_root_nodes(model))
+    where = tuple({p: j for j, p in enumerate(c)} for c in cands[level:])
+    return _DriftBlock(False, level, pairs[:level], where,
+                       _outcomes(top, equal, zero), None)
+
+
+def _drift_split_level(n: int) -> int:
+    """The split level of a drift tree: at least one level below it."""
+    return min(_split_level(n), n - 1)
+
+
+def _drift_split(model, pairs) -> _DriftBlock:
+    """The split block of ``pairs``: the levels above the split level."""
+    level = _drift_split_level(len(model.steps))
+    eps = [np.array(pairs[k:k + 1]) for k in range(level)]
+    top, equal, zero, nodes = _drift_walk(model.steps, eps, 0, level,
+                                          *_root_nodes(model))
+    return _DriftBlock(True, level, pairs[:level], (),
+                       _outcomes(top, equal, zero), nodes)
 
 
 def max_drift(model, eps_dn, eps_up) -> float:
@@ -476,44 +588,51 @@ def max_drift(model, eps_dn, eps_up) -> float:
     weights (1, 0) and a drift of psi_down * S * a * (e^{sigma*eps_dn} - 1),
     and NaN ratios (below an infinite price) never win.  ZeroDivisionError
     where a node's two exponentials are equal (a zero weight denominator)
-    or its price is 0, equal exponentials first in the first failing block.
+    or its price is 0, equal exponentials first in the first failing block
+    (the whole tree, or with more than ``CHUNK_LEAVES`` leaves the levels
+    above the split, then each subtree below it in depth-first order).
 
-    Level ``k`` depends only on the pairs above it.  ``model._drift_tree``
-    keeps the pairs, nodes and running values of the levels the last call
-    grew whole (all up to ``CHUNK_LEAVES`` leaves, else those above the
-    split: never more than one call holds), and a call regrows them from
-    its first differing pair down.  Read once and replaced by one
-    assignment, its arrays never written, it is safe across threads."""
-    steps = model.steps
-    n = len(steps)
+    Level ``k`` depends only on the pairs above it, so one walk (the
+    level function ``_drift_level``) serves a block: every selection that
+    shares the call's pairs above the block level L, the first level
+    whose completions below it, times a tree's ``2**(N - 1)`` nodes at its
+    last drift level, fit in ``CHUNK_LEAVES``.  The walk keeps
+    ``[completions, nodes]`` arrays per level and records each
+    completion's outcome; ``model._drift_tree`` keeps the block, and a
+    later call in it computes a mixed-radix index and reads its outcome.
+    A tree of more than ``CHUNK_LEAVES`` leaves keeps its split walk: the
+    block holds the levels above the split, and each call walks the
+    subtrees below it one at a time.  Read once and replaced by one
+    assignment, never written, the block is safe across threads."""
     pairs = tuple(zip(eps_dn, eps_up))
-    depth = min(_split_level(n), n - 1) or n
-    held, nodes, running = model._drift_tree or ((), ((
-        np.array([model.s0]), np.array([steps[0].vol.initial_sigma()])),), ())
-    k = 0
-    while k < min(depth, len(held)) and held[k] == pairs[k]:
-        k += 1
-    nodes, running = nodes[:k + 1], running[:k]
-    with np.errstate(all="ignore"):
-        if k < depth:
-            grown, after = _drift_levels(steps, pairs, k, depth, *nodes[-1],
-                                         *running[-1:])
-            nodes, running = nodes + grown, running + after
-            # the dataclass is frozen: fill the cached_property's slot
-            object.__setattr__(model, "_drift_tree",
-                               (pairs[:depth], nodes, running))
-        worst, failure = running[-1]
-        if failure:
-            raise ZeroDivisionError(failure)
-        if depth < n:
-            price, sigma = nodes[depth]
-            for j in range(price.size):
-                s = sigma[j:j + 1] if sigma.size > 1 else sigma
-                top, failure = _drift_levels(steps, pairs, depth, n,
-                                             price[j:j + 1], s)[1][-1]
-                if failure:
-                    raise ZeroDivisionError(failure)
-                worst = max(worst, top)
+    split = 2 ** len(model.steps) > CHUNK_LEAVES
+    block = model._drift_tree
+    i = None
+    if block is not None and block.split == split and (
+            not split or block.level == _drift_split_level(len(model.steps))):
+        i = block.find(pairs)
+    if i is None:
+        with np.errstate(all="ignore"):
+            block = (_drift_split if split else _drift_block)(model, pairs)
+        # the dataclass is frozen: fill the cached_property's slot
+        object.__setattr__(model, "_drift_tree", block)
+        i = block.find(pairs)
+    worst = block.outcomes[i]
+    if isinstance(worst, str):
+        raise ZeroDivisionError(worst)
+    if split:
+        eps = [np.array(p)[None] for p in pairs]
+        price, sigma = block.nodes
+        with np.errstate(all="ignore"):
+            for j in range(price.shape[1]):
+                top, equal, zero, _ = _drift_walk(
+                    model.steps, eps, block.level, len(model.steps),
+                    price[:, j:j + 1],
+                    sigma[:, j:j + 1] if sigma.shape[1] > 1 else sigma)
+                if equal[0] or zero[0]:
+                    raise ZeroDivisionError(_EQUAL_EXP if equal[0]
+                                            else _ZERO_PRICE)
+                worst = max(worst, float(top[0]))
     return worst
 
 

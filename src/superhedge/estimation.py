@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
+from .model import _number
 from .pricing import (Payoff, PriceInterval, closed_form_price,
                       non_arbitrage_interval)
 
@@ -216,13 +217,13 @@ def load_price_csv(path: str) -> PriceSample:
             raise ValidationError(f"{path}: row {i + 2} is not 't,price'")
         try:
             t = int(row[0])
-            p = float(row[1])
         except ValueError as exc:
             raise ValidationError(f"{path}: row {i + 2}: {exc}") from exc
+        price = _number({"price": row[1]}, "price", f"in {path} row {i + 2}")
         if t != i:
             raise ValidationError(
                 f"{path}: row {i + 2} has t={t}, expected {i}")
-        prices.append(p)
+        prices.append(price)
     if len(prices) < 2:
         raise ValidationError(f"{path}: need rows for t=0 and at least t=1")
     return PriceSample(prices[0], tuple(prices[1:]))

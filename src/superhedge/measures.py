@@ -184,20 +184,18 @@ def _selection_eps(model: EvolutionModel,
 
 
 def selection_count(model: EvolutionModel) -> int:
-    return math.prod(
-        len(model.strict_down_indices(n)) * len(model.up_indices(n))
-        for n in range(1, model.n_steps + 1))
+    return math.prod(len(model.spot_pairs(n))
+                     for n in range(1, model.n_steps + 1))
 
 
 def all_selections(model: EvolutionModel) -> Iterator[AtomPairSelection]:
     """Every valid selection, lexicographic in (down, up) atom indices."""
     per_step = []
     for n in range(1, model.n_steps + 1):
-        downs = model.strict_down_indices(n)
-        ups = model.up_indices(n)
-        if not downs or not ups:
+        pairs = model.spot_pairs(n)
+        if not pairs:
             raise ValidationError(f"no sign-separated atom pair at step {n}")
-        per_step.append([(d, u) for d in downs for u in ups])
+        per_step.append(pairs)
     for combo in itertools.product(*per_step):
         yield AtomPairSelection(tuple(combo))
 

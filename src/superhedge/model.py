@@ -199,7 +199,10 @@ class EvolutionModel:
 
     @cached_property
     def _drift_tree(self):
-        """What ``_engine.max_drift`` keeps of its last tree, or None."""
+        """The last block ``_engine.max_drift`` built, or None: the pairs
+        above its block level and the drift outcome of every selection
+        below them (``_engine._DriftBlock``).  Replaced by one assignment,
+        never written; not a field, so equality, hash and repr ignore it."""
         return None
 
     def path_count(self) -> int:
@@ -217,6 +220,12 @@ class EvolutionModel:
     def up_indices(self, n: int) -> tuple[int, ...]:
         return tuple(i for i, at in enumerate(self.steps[n - 1].shocks)
                      if at.eps > 0.0)
+
+    def spot_pairs(self, n: int) -> tuple[tuple[int, int], ...]:
+        """The (down, up) atom pairs a spot measure may pick at step n
+        (1-based): strictly-down atoms times up atoms, down major."""
+        ups = self.up_indices(n)
+        return tuple((d, u) for d in self.strict_down_indices(n) for u in ups)
 
 
 @dataclass(frozen=True)

@@ -395,6 +395,152 @@ class TestDrift:
         assert repr(m) == repr(twin) == shown
 
 
+def walk_outcome(m, sel):
+    """max_node_drift's outcome by a depth-first scalar walk: walk_drift's
+    value, or ZeroDivisionError with the engine's message.  A node fails
+    where its two exponentials are equal or its price is 0.  The first
+    failure block (the whole tree; with more than CHUNK_LEAVES leaves, the
+    levels above the split level, then each subtree below it in
+    depth-first order) that holds a failing node raises, equal
+    exponentials before a zero price."""
+    n, chunk = m.n_steps, _engine.CHUNK_LEAVES
+    split = min(n - (chunk.bit_length() - 1), n - 1) if 2 ** n > chunk \
+        else 0
+    eps_dn, eps_up = measures._selection_eps(m, sel)
+    fails = {}
+
+    def rec(level, index, price, sigma_prev, eps_prev):
+        if level == n:
+            return
+        vol = m.steps[level].vol
+        sigma = (vol.initial_sigma() if level == 0 else
+                 vol.next_sigma(sigma_prev, eps_prev))
+        ed = oracle.exp(sigma * eps_dn[level])
+        eu = oracle.exp(sigma * eps_up[level])
+        block = 0 if level < split else 1 + (index >> (level - split))
+        if ed == eu:
+            fails.setdefault(block, set()).add(_engine._EQUAL_EXP)
+        elif price == 0.0:
+            fails.setdefault(block, set()).add(
+                "a node price of the spot tree is 0")
+        a = m.steps[level].a
+        rec(level + 1, 2 * index, price * (1.0 + a * (ed - 1.0)), sigma,
+            eps_dn[level])
+        rec(level + 1, 2 * index + 1, price * (1.0 + a * (eu - 1.0)), sigma,
+            eps_up[level])
+
+    rec(0, 0, m.s0, 0.0, 0.0)
+    if fails:
+        kinds = fails[min(fails)]
+        return ZeroDivisionError, (
+            _engine._EQUAL_EXP if _engine._EQUAL_EXP in kinds
+            else "a node price of the spot tree is 0")
+    return walk_drift(m, sel)
+
+
+def pair_model(pattern, vol, seed=7):
+    """A model with ``pattern[k]`` spot pairs at step k: one down and p up
+    atoms, or two of each for p = 4."""
+    rng = random.Random(seed)
+    steps = []
+    for p in pattern:
+        n_dn, n_up = (2, 2) if p == 4 else (1, p)
+        eps = [-rng.uniform(0.1, 1.0) for _ in range(n_dn)] \
+            + [rng.uniform(0.1, 1.0) for _ in range(n_up)]
+        steps.append(StepSpec(rng.uniform(0.2, 0.9), tuple(
+            ShockAtom(e, 1.0 / len(eps)) for e in eps), vol))
+    return EvolutionModel(100.0, tuple(steps))
+
+
+class TestDriftBlocks:
+    """One walk computes the drift outcome of a block of selections; every
+    call's outcome is that of a scalar walk, in any call order."""
+
+    ARCH = VolatilitySpec.arch1(0.04, 0.3, 0.05)
+    GARCH = VolatilitySpec.garch11(0.04, 0.2, 0.5, 0.05)
+
+    @staticmethod
+    def check_orders(m, sels):
+        want = [walk_outcome(m, s) for s in sels]
+        rng = random.Random(11)
+        for order in (list(range(len(sels))), list(range(len(sels)))[::-1],
+                      rng.sample(range(len(sels)), len(sels))):
+            m = fresh(m)
+            assert [drift_outcome(m, sels[i]) for i in order] \
+                == [want[i] for i in order]
+        return want
+
+    @pytest.mark.parametrize("chunk", [1 << 14, 64, 16, 4, 2, 1])
+    def test_failing_block_mates(self, monkeypatch, chunk):
+        # equal exponentials, zero prices and a saturated up branch share
+        # blocks with passing selections: whole-tree blocks down to one
+        # selection per block, and below 8 leaves a split walk
+        monkeypatch.setattr(_engine, "CHUNK_LEAVES", chunk)
+        m = prefix_failure_model()
+        want = self.check_orders(m, list(all_selections(m)))
+        kinds = {w[1] if isinstance(w, tuple) else float for w in want}
+        assert kinds == {float, _engine._EQUAL_EXP,
+                         "a node price of the spot tree is 0"}
+
+    def test_many_blocks(self):
+        for pattern, vol in (((2, 2, 2, 3, 3, 3, 3), self.ARCH),
+                             ((2, 3, 3, 4, 4), self.GARCH)):
+            m = pair_model(pattern, vol)
+            sels = list(all_selections(m))
+            assert len(sels) == math.prod(pattern)
+            self.check_orders(m, sels)
+
+    def test_random_models(self):
+        for seed in range(8):
+            m = random_model(seed, n_max=5, vol_kinds=ALL_VOLS)
+            self.check_orders(m, list(all_selections(m))[:80])
+
+    def test_deep_tree(self):
+        m = arch_chain(15)
+        steps = list(m.steps)
+        for i in (0, 14):
+            steps[i] = dataclasses.replace(steps[i], shocks=(
+                ShockAtom(-0.4, 0.4), ShockAtom(0.3, 0.3),
+                ShockAtom(0.6, 0.3)))
+        m = dataclasses.replace(m, steps=tuple(steps))
+        assert 2 ** m.n_steps > _engine.CHUNK_LEAVES
+        want = self.check_orders(m, list(all_selections(m)))
+        assert len(set(want)) == 4
+
+    def test_pairs_outside_the_candidates(self):
+        # shocks that are no atom of the model: the call walks its own tree
+        m = pair_model((2, 3, 3), self.GARCH)
+        other = dataclasses.replace(m, steps=tuple(
+            dataclasses.replace(st, shocks=(ShockAtom(-0.05 * k - 0.1, 0.5),
+                                            ShockAtom(0.07 * k + 0.2, 0.5)))
+            for k, st in enumerate(m.steps)))
+        sel = next(all_selections(other))
+        eps_dn, eps_up = measures._selection_eps(other, sel)
+        want = walk_drift(other, sel)
+        assert _engine.max_drift(m, eps_dn, eps_up) == want
+        for s in all_selections(m):
+            SpotMeasure(m, s).max_node_drift()
+        assert _engine.max_drift(m, eps_dn, eps_up) == want
+
+    @pytest.mark.parametrize("pattern, blocks", [
+        ((2, 2, 2, 3, 3, 3, 3), 4), ((2, 3, 3, 4, 4), 1)])
+    def test_one_walk_per_block(self, monkeypatch, pattern, blocks):
+        # a lexicographic sweep builds one block per distinct prefix above
+        # the block level
+        m = pair_model(pattern, self.ARCH)
+        built = []
+        build = _engine._drift_block
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(_engine, "_drift_block", counting)
+        for sel in all_selections(m):
+            SpotMeasure(m, sel).max_node_drift()
+        assert len(built) == blocks
+
+
 class TestDeepTrees:
     """Trees with more than CHUNK_LEAVES leaves are split into subtrees."""
 

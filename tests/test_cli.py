@@ -255,6 +255,15 @@ class TestEstimate:
         assert main(["estimate", "--prices", str(prices), "--statistic",
                      "identity_tail", "--tail-k", "1"]) == 0
 
+    def test_non_numeric_price(self, tmp_path, capsys):
+        # read like a number of a model file: one line, exit 1
+        prices = tmp_path / "prices.csv"
+        prices.write_text("t,price\n0,100\n1,eighty\n2,120\n")
+        assert main(["estimate", "--prices", str(prices), "--statistic",
+                     "constant_one"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: 'price' in {prices} row 3 is not a number: 'eighty'\n")
+
 
 class TestVerify:
     def test_two_step_passes(self, model_file, tmp_path, capsys):
