@@ -20,11 +20,12 @@ spell its path.  ``value`` evaluates one tree given by its shocks.
 combination of per-step candidate pairs in lexicographic order (step 0
 most significant, down candidate the major index within a step); rows
 that share a prefix share its nodes.  ``max_drift`` gives the largest
-relative one-step drift over the nodes of the tree ``value`` evaluates.
-It walks a block of trees at once, every selection of the model's
-candidate pairs that shares the call's pairs above a level, with the same
-``[completions, nodes]`` level arrays; it keeps the block's outcomes on
-the model, so a sweep over the selections pays one walk per block.
+relative one-step drift over the nodes of the tree ``value`` evaluates,
+grown by the same ``_Branch`` and ``_grow``.  It walks a block of trees at
+once, every selection of the model's candidate pairs that shares the
+call's pairs above a level, as the rows of one batch; it keeps the block's
+outcomes on the model, so a sweep over the selections pays one walk per
+block.
 
 Results are bit-identical to a depth-first scalar walk (``oracle``
 re-derives them leaf by leaf) because:
@@ -44,9 +45,10 @@ re-derives them leaf by leaf) because:
 Work is cut into blocks of at most ``CHUNK_LEAVES`` leaves (for drifts,
 nodes of the last level that has drifts, the leaves' parents), so memory
 stays flat however many trees a scan covers and however deep a tree is: a
-tree with more leaves is grown whole down to the level whose nodes each
-root ``CHUNK_LEAVES`` leaves, and below it one node's subtree at a time,
-in depth-first order, adding into the same running sums.
+tree with more leaves is grown whole down to the split level, whose nodes
+each root ``CHUNK_LEAVES`` leaves (``_split_level``), and below it one
+node's subtree at a time, in depth-first order, adding into the same
+running sums (for drifts, the same running maximum).
 
 ``scan`` and ``scan_min`` with ``prune`` (the exhaustive sup and inf of
 ``pricing``; grid scans and coordinate ascent scan in full) skip the
@@ -199,7 +201,9 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 class _Branch:
     """Exponentials and branch weights of every (node, pair) at one level,
-    shaped ``[rows | 1, pairs, nodes | 1]``."""
+    shaped ``[rows | 1, pairs, nodes | 1]``.  Where a node's two
+    exponentials are equal its weights are 0 / 0: a tree walk raises there
+    if the node is live (``checked``), the drift check at every node."""
 
     __slots__ = ("ed", "eu", "psi_d", "psi_u")
 
@@ -210,12 +214,17 @@ class _Branch:
         e = _exp(np.concatenate((args_d.ravel(), args_u.ravel())))
         self.ed = ed = e[:args_d.size].reshape(args_d.shape)
         self.eu = eu = e[args_d.size:].reshape(args_u.shape)
-        equal = ed == eu
+        self.psi_d, self.psi_u = _branch_weights(ed, eu)
+
+    def checked(self, nodes: _Nodes) -> "_Branch":
+        """This branch; ZeroDivisionError where a live node of ``nodes``
+        has equal exponentials (nothing below a pruned node is valued)."""
+        equal = self.ed == self.eu
         if nodes.live is not None:
             equal = equal & nodes.live[:, None, :]
         if equal.any():
             raise ZeroDivisionError(_EQUAL_EXP)
-        self.psi_d, self.psi_u = _branch_weights(ed, eu)
+        return self
 
     def pick(self, r: np.ndarray, q: np.ndarray) -> "_Branch":
         """The entries of (row ``r[i]``, pair ``q[i]``), one pair per row:
@@ -370,14 +379,15 @@ def _path_values(m: _Model, fn, nodes: _Nodes) -> np.ndarray:
 
 def _split_level(n: int) -> int:
     """The level whose nodes each root at most ``CHUNK_LEAVES`` leaves of
-    an ``n``-step tree (0 when the whole tree fits)."""
-    return max(0, n - (CHUNK_LEAVES.bit_length() - 1))
+    an ``n``-step tree, at most ``n - 1`` so that a subtree has a level
+    (0 when the whole tree fits)."""
+    return max(0, min(n - (CHUNK_LEAVES.bit_length() - 1), n - 1))
 
 
 def _leaf_blocks(m: _Model, nodes: _Nodes, grow) -> Iterator[_Nodes]:
     """The leaves under the roots ``nodes``, grown by ``grow(nodes,
-    level)``, in depth-first blocks of at most ``CHUNK_LEAVES`` leaves.
-    Only a single tree (one row) can hold more."""
+    level)``, in depth-first blocks of at most ``CHUNK_LEAVES`` leaves
+    (two at least).  Only a single tree (one row) can hold more."""
     top = _split_level(m.n)
     for level in range(top):
         nodes = grow(nodes, level)
@@ -401,7 +411,7 @@ def _tree_value(m: _Model, pay: _Payoff, eps_dn, eps_up, atoms_dn,
 
     def grow(nodes, level):
         return _grow(m, level, nodes,
-                     _Branch(nodes, eps_d[level], eps_u[level]),
+                     _Branch(nodes, eps_d[level], eps_u[level]).checked(nodes),
                      eps_d[level], eps_u[level], at_d[level], at_u[level])
 
     acc = np.zeros(1)
@@ -423,63 +433,6 @@ def value(model, eps_dn, eps_up, payoff, atoms_dn=None,
                            atoms_up)
 
 
-def _drift_level(step, next_vol, price, sigma, eps):
-    """One level of a block of spot trees: ``rows`` partial trees whose
-    nodes have prices ``price`` [rows, nodes] and volatilities ``sigma``
-    (broadcasting to it), each continued by every candidate pair of
-    ``eps`` [pairs, 2] (down, up shock).  Per (row, pair): the largest
-    drift ratio over the row's nodes (NaN never wins; at least 0), and
-    whether a node's two exponentials are equal or its price is 0.  Then
-    the next level's (price, sigma), ``[rows * pairs, 2 * nodes]`` with
-    row ``r * pairs + p``, nodes in depth-first order; None below the
-    last step (``next_vol``, the next step's volatility law, is None)."""
-    s = price[:, :, None]                             # [rows, nodes, 1]
-    args = sigma[:, :, None, None] * eps              # [rows, nodes, pairs, 2]
-    e = _exp(args.ravel()).reshape(args.shape)
-    ed, eu = e[..., 0], e[..., 1]
-    psi_d, psi_u = _branch_weights(ed, eu)
-    pa = s * step.a
-    em1 = e - 1.0
-    # a saturated up branch has weight 0 and adds no drift, not 0 * inf
-    ratio = np.abs(psi_d * (pa * em1[..., 0]) + np.where(
-        eu == _INF, 0.0, psi_u * (pa * em1[..., 1]))) / s
-    top = np.fmax.reduce(ratio, axis=1, initial=0.0)
-    equal = np.broadcast_to((ed == eu).any(axis=1), top.shape)
-    zero = np.broadcast_to((s == 0.0).any(axis=1), top.shape)
-    if next_vol is None:
-        return top, equal, zero, None
-    shape = (price.shape[0], eps.shape[0], price.shape[1], 2)
-    child = _moved(price[:, None, :, None], e.transpose(0, 2, 1, 3), step.a,
-                   np.empty(shape))
-    if next_vol.kind == "constant":
-        sig = np.full((1, 1), next_vol.sigma)
-    else:
-        sig = np.broadcast_to(next_vol.next_sigmas(
-            sigma[:, :, None, None], args).transpose(0, 2, 1, 3), shape)
-        sig = sig.reshape(shape[0] * shape[1], -1)
-    return top, equal, zero, (child.reshape(shape[0] * shape[1], -1), sig)
-
-
-def _drift_walk(steps, eps, first: int, stop: int, price, sigma):
-    """Grow a block of spot trees from the nodes of level ``first`` (one
-    row) down to level ``stop``, level ``k`` under every pair of
-    ``eps[k]``: per completion (mixed radix, level ``first`` most
-    significant) the largest ratio and the two failure flags of the levels
-    grown, and the (price, sigma) nodes of level ``stop`` (None at the
-    leaves)."""
-    top = np.zeros(1)
-    equal = zero = np.zeros(1, dtype=bool)
-    nodes = (price, sigma)
-    for level in range(first, stop):
-        next_vol = steps[level + 1].vol if level + 1 < len(steps) else None
-        t, eq, z, nodes = _drift_level(steps[level], next_vol, *nodes,
-                                       eps[level])
-        top = np.maximum(top[:, None], t).ravel()
-        equal = (equal[:, None] | eq).ravel()
-        zero = (zero[:, None] | z).ravel()
-    return top, equal, zero, nodes
-
-
 _ZERO_PRICE = "a node price of the spot tree is 0"
 
 
@@ -494,29 +447,18 @@ def _outcomes(top, equal, zero) -> tuple:
     return tuple(out)
 
 
-def _root_nodes(model):
-    return (np.full((1, 1), model.s0),
-            np.full((1, 1), model.steps[0].vol.initial_sigma()))
-
-
 class _DriftBlock:
     """The drift outcomes of every selection whose pairs above ``level``
-    are ``prefix``.  A shallow block (``split`` False) covers every
-    completion below ``level`` in ``where`` (per level, pair -> candidate
-    index) and holds one outcome per completion.  A split block (a tree of
-    more than ``CHUNK_LEAVES`` leaves, ``level`` its split level) holds the
-    outcome of the levels above and their nodes at ``level``; a call walks
-    the subtrees below them.  Never written once built."""
+    are ``prefix``: one per completion below ``level`` in ``where`` (per
+    level, pair -> candidate index).  Never written once built."""
 
-    __slots__ = ("split", "level", "prefix", "where", "outcomes", "nodes")
+    __slots__ = ("level", "prefix", "where", "outcomes")
 
-    def __init__(self, split, level, prefix, where, outcomes, nodes):
-        self.split = split
+    def __init__(self, level, prefix, where, outcomes):
         self.level = level
         self.prefix = prefix
         self.where = where
         self.outcomes = outcomes
-        self.nodes = nodes
 
     def find(self, pairs) -> int | None:
         """The completion index of ``pairs``, or None outside the block."""
@@ -545,94 +487,99 @@ def _block_level(counts) -> int:
 
 
 def _drift_block(model, pairs) -> _DriftBlock:
-    """The shallow block of ``pairs``: one walk over every candidate pair
+    """The block of ``pairs``: one walk over every candidate pair
     (``EvolutionModel.spot_pairs``, as ``all_selections`` reads them) below
     the block level, and the call's own pairs above it.  A level whose
-    candidates miss the call's pair takes that pair alone."""
-    steps = model.steps
+    candidates miss the call's pair takes that pair alone.  A tree of more
+    than ``CHUNK_LEAVES`` leaves is a block of one selection.  The trees
+    grow as ``value``'s do (``_leaf_blocks``), and each level adds, per
+    completion (``_grow``'s rows, mixed radix), its largest drift ratio and
+    whether a node, pruned or not, has equal exponentials or price 0 to the
+    running ones of its part of the walk: the whole tree, or the levels
+    above the split level and then each subtree below it.  The first
+    failing part decides."""
+    m = _Model(model)
     cands = []
-    for k, step in enumerate(steps):
+    for k, step in enumerate(model.steps):
         c = tuple((step.shocks[d].eps, step.shocks[u].eps)
                   for d, u in model.spot_pairs(k + 1))
         cands.append(c if pairs[k] in c else (pairs[k],))
-    level = _block_level([len(c) for c in cands])
-    eps = [np.array(pairs[k:k + 1]) for k in range(level)] \
-        + [np.array(c) for c in cands[level:]]
-    top, equal, zero, _ = _drift_walk(steps, eps, 0, len(steps),
-                                      *_root_nodes(model))
+    split = _split_level(m.n)
+    level = m.n if split else _block_level([len(c) for c in cands])
+    eps = [np.array(c, dtype=float).T[:, None]          # [2, 1, pairs]
+           for c in [(p,) for p in pairs[:level]] + cands[level:]]
+    parts = []                 # (top, equal, zero) of each part
+
+    def grow(nodes, k):
+        eps_d, eps_u = eps[k]
+        br = _Branch(nodes, eps_d, eps_u)
+        s = nodes.price[:, None, :]
+        pa = s * m.a[k]
+        # a saturated up branch has weight 0 and adds no drift, not 0 * inf
+        ratio = np.abs(br.psi_d * (pa * (br.ed - 1.0)) + np.where(
+            br.eu == _INF, 0.0, br.psi_u * (pa * (br.eu - 1.0)))) / s
+        if k in (0, split):    # the root or a subtree's root
+            parts.append((np.zeros(1),) + (np.zeros(1, dtype=bool),) * 2)
+        top, equal, zero = parts[-1]
+        shape = ratio.shape[:2]                       # [rows, pairs]
+        parts[-1] = (
+            np.maximum(top[:, None], np.fmax.reduce(
+                ratio, axis=2, initial=0.0)).ravel(),
+            np.broadcast_to(equal[:, None] | (br.ed == br.eu).any(axis=2),
+                            shape).ravel(),
+            np.broadcast_to(zero[:, None] | (s == 0.0).any(axis=2),
+                            shape).ravel())
+        if k + 1 == m.n:       # the leaves have no drift
+            return nodes
+        return _grow(m, k, nodes, br, eps_d, eps_u, None, None)
+
+    for _ in _leaf_blocks(m, _root(m, False, False, False), grow):
+        if any(equal.any() or zero.any() for _, equal, zero in parts):
+            break              # a failing part decides: no further subtree
+    top = np.zeros(1)
+    for t, equal, zero in parts:
+        top = np.maximum(top, t)
+        outcomes = _outcomes(top, equal, zero)
+        if isinstance(outcomes[0], str):
+            break
     where = tuple({p: j for j, p in enumerate(c)} for c in cands[level:])
-    return _DriftBlock(False, level, pairs[:level], where,
-                       _outcomes(top, equal, zero), None)
-
-
-def _drift_split_level(n: int) -> int:
-    """The split level of a drift tree: at least one level below it."""
-    return min(_split_level(n), n - 1)
-
-
-def _drift_split(model, pairs) -> _DriftBlock:
-    """The split block of ``pairs``: the levels above the split level."""
-    level = _drift_split_level(len(model.steps))
-    eps = [np.array(pairs[k:k + 1]) for k in range(level)]
-    top, equal, zero, nodes = _drift_walk(model.steps, eps, 0, level,
-                                          *_root_nodes(model))
-    return _DriftBlock(True, level, pairs[:level], (),
-                       _outcomes(top, equal, zero), nodes)
+    return _DriftBlock(level, pairs[:level], where, outcomes)
 
 
 def max_drift(model, eps_dn, eps_up) -> float:
     """Largest |conditional one-step drift| / node price over the nodes of
     one spot tree (``eps_dn`` / ``eps_up``: its shock pair per step), every
-    node, pruned or not.  The tree is the one ``value`` evaluates:
-    exponentials saturate to inf, a saturated up branch has the limit
-    weights (1, 0) and a drift of psi_down * S * a * (e^{sigma*eps_dn} - 1),
-    and NaN ratios (below an infinite price) never win.  ZeroDivisionError
-    where a node's two exponentials are equal (a zero weight denominator)
-    or its price is 0, equal exponentials first in the first failing block
-    (the whole tree, or with more than ``CHUNK_LEAVES`` leaves the levels
-    above the split, then each subtree below it in depth-first order).
+    node, pruned or not.  The tree is the one ``value`` evaluates, grown by
+    the same ``_Branch`` and ``_grow``: exponentials saturate to inf, a
+    saturated up branch has the limit weights (1, 0) and a drift of
+    psi_down * S * a * (e^{sigma*eps_dn} - 1), and NaN ratios (below an
+    infinite price) never win.  ZeroDivisionError where a node's two
+    exponentials are equal (a zero weight denominator) or its price is 0,
+    equal exponentials first in the first failing part of the walk (the
+    whole tree, or with more than ``CHUNK_LEAVES`` leaves the levels above
+    the split level, then each subtree below it in depth-first order).
 
-    Level ``k`` depends only on the pairs above it, so one walk (the
-    level function ``_drift_level``) serves a block: every selection that
-    shares the call's pairs above the block level L, the first level
-    whose completions below it, times a tree's ``2**(N - 1)`` nodes at its
-    last drift level, fit in ``CHUNK_LEAVES``.  The walk keeps
-    ``[completions, nodes]`` arrays per level and records each
-    completion's outcome; ``model._drift_tree`` keeps the block, and a
+    Level ``k`` depends only on the pairs above it, so one walk serves a
+    block: every selection that shares the call's pairs above the block
+    level L, the first level whose completions below it, times a tree's
+    ``2**(N - 1)`` nodes at its last drift level, fit in ``CHUNK_LEAVES``
+    (a tree of more leaves is a block of one selection).  The walk records
+    each completion's outcome; ``model._drift_tree`` keeps the block, and a
     later call in it computes a mixed-radix index and reads its outcome.
-    A tree of more than ``CHUNK_LEAVES`` leaves keeps its split walk: the
-    block holds the levels above the split, and each call walks the
-    subtrees below it one at a time.  Read once and replaced by one
-    assignment, never written, the block is safe across threads."""
+    Read once and replaced by one assignment, never written, the block is
+    safe across threads."""
     pairs = tuple(zip(eps_dn, eps_up))
-    split = 2 ** len(model.steps) > CHUNK_LEAVES
     block = model._drift_tree
-    i = None
-    if block is not None and block.split == split and (
-            not split or block.level == _drift_split_level(len(model.steps))):
-        i = block.find(pairs)
+    i = None if block is None else block.find(pairs)
     if i is None:
         with np.errstate(all="ignore"):
-            block = (_drift_split if split else _drift_block)(model, pairs)
+            block = _drift_block(model, pairs)
         # the dataclass is frozen: fill the cached_property's slot
         object.__setattr__(model, "_drift_tree", block)
         i = block.find(pairs)
     worst = block.outcomes[i]
     if isinstance(worst, str):
         raise ZeroDivisionError(worst)
-    if split:
-        eps = [np.array(p)[None] for p in pairs]
-        price, sigma = block.nodes
-        with np.errstate(all="ignore"):
-            for j in range(price.shape[1]):
-                top, equal, zero, _ = _drift_walk(
-                    model.steps, eps, block.level, len(model.steps),
-                    price[:, j:j + 1],
-                    sigma[:, j:j + 1] if sigma.shape[1] > 1 else sigma)
-                if equal[0] or zero[0]:
-                    raise ZeroDivisionError(_EQUAL_EXP if equal[0]
-                                            else _ZERO_PRICE)
-                worst = max(worst, float(top[0]))
     return worst
 
 
@@ -732,7 +679,7 @@ def scan_values(model, dn_cands, up_cands, payoff, atoms_dn=None,
     def expand(nodes, level, lo, hi):
         sl = slice(lo, hi)
         eps_d, eps_u = plan.eps_d[level][:, sl], plan.eps_u[level][:, sl]
-        br = _Branch(nodes, eps_d, eps_u)
+        br = _Branch(nodes, eps_d, eps_u).checked(nodes)
         at_d = plan.at_d[level][:, sl] if with_atoms else None
         at_u = plan.at_u[level][:, sl] if with_atoms else None
         return _grow(m, level, nodes, br, eps_d, eps_u, at_d, at_u)
@@ -1058,7 +1005,7 @@ class _Search:
         plan = self.plan
         sl = slice(lo, hi)
         br = _Branch(batch.nodes, plan.eps_d[level][:, sl],
-                     plan.eps_u[level][:, sl])
+                     plan.eps_u[level][:, sl]).checked(batch.nodes)
         i, j = np.divmod(np.arange(plan.pairs[level], dtype=np.int32)[sl],
                          plan.n_up[level])
         return br, (i, j + self.bound.n_down[level])

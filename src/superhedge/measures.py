@@ -228,6 +228,10 @@ def psi_weights(model: EvolutionModel, history: Sequence[float],
 def spot_tree_value(model: EvolutionModel, eps_dn: Sequence[float],
                     eps_up: Sequence[float], payoff) -> float:
     """Spot-tree expectation for explicit eps pairs (used by grid search)."""
+    if not len(eps_dn) == len(eps_up) == model.n_steps:
+        raise ValidationError(
+            f"{len(eps_dn)} down and {len(eps_up)} up shocks for a "
+            f"{model.n_steps}-step model")
     if 2 ** model.n_steps > PATH_CAP:
         raise CapExceededError(f"2^{model.n_steps} branches exceed cap")
     return _engine.value(model, eps_dn, eps_up, payoff)

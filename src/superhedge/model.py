@@ -149,8 +149,8 @@ def _branch_weights(ed, eu):
     """Weights (psi_d, psi_u) = (eu - 1, 1 - ed) / (eu - ed) of a spot pair
     with ``ed = e^{sigma*eps_dn}``, ``eu = e^{sigma*eps_up}`` (floats or
     arrays that broadcast together), and the exact limit (1, 0) where
-    ``eu`` is inf.  Equal exponentials raise ZeroDivisionError for floats;
-    array callers reject them first."""
+    ``eu`` is inf.  Equal exponentials raise ZeroDivisionError for floats
+    and give NaN in arrays, which callers reject or flag."""
     denom = eu - ed
     psi_d = (eu - 1.0) / denom
     psi_u = (1.0 - ed) / denom
@@ -201,8 +201,10 @@ class EvolutionModel:
     def _drift_tree(self):
         """The last block ``_engine.max_drift`` built, or None: the pairs
         above its block level and the drift outcome of every selection
-        below them (``_engine._DriftBlock``).  Replaced by one assignment,
-        never written; not a field, so equality, hash and repr ignore it."""
+        below them (``_engine._DriftBlock``; a tree of more than
+        ``_engine.CHUNK_LEAVES`` leaves is a block of one selection).
+        Outcomes only, no tree levels.  Replaced by one assignment, never
+        written; not a field, so equality, hash and repr ignore it."""
         return None
 
     def path_count(self) -> int:

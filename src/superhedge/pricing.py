@@ -339,6 +339,20 @@ def _ascent(model: EvolutionModel, payoff: Payoff, dn_cands, up_cands,
     return best, state, trees
 
 
+def _exhaustive_candidates(model: EvolutionModel):
+    """The atom candidates of an exhaustive scan (``_atom_candidates``):
+    ValidationError for a pricing-only model or one without a spot pair at
+    some step, CapExceededError above ``SELECTION_CAP`` selections."""
+    if model.pricing_only:
+        raise ValidationError("pricing-only model has no shock atoms")
+    count = selection_count(model)
+    if count == 0:
+        raise ValidationError("no strictly negative or no positive atom")
+    if count > SELECTION_CAP:
+        raise CapExceededError(f"{count} selections exceed cap")
+    return _atom_candidates(model)
+
+
 def superhedge_sup(model: EvolutionModel, payoff: Payoff,
                    config: SearchConfig) -> SupResult:
     """Supremum of the spot-measure expectation per the configured search."""
@@ -348,14 +362,7 @@ def superhedge_sup(model: EvolutionModel, payoff: Payoff,
         raise CapExceededError(f"2^{n} tree branches exceed the path cap")
 
     if config.mode == "discrete_exhaustive":
-        if model.pricing_only:
-            raise ValidationError("pricing-only model has no shock atoms")
-        count = selection_count(model)
-        if count == 0:
-            raise ValidationError("no strictly negative or no positive atom")
-        if count > SELECTION_CAP:
-            raise CapExceededError(f"{count} selections exceed cap")
-        atoms_dn, atoms_up, dn_cands, up_cands = _atom_candidates(model)
+        atoms_dn, atoms_up, dn_cands, up_cands = _exhaustive_candidates(model)
         value, pairs, trees = _engine.scan(model, dn_cands, up_cands, payoff,
                                            atoms_dn, atoms_up, prune=True)
         selection = AtomPairSelection(tuple(
@@ -403,9 +410,7 @@ def superhedge_inf(model: EvolutionModel, payoff: Payoff,
         return InfResult(value, True,
                          "Jensen endpoint f(s0), reached in the eps->0 limit")
     if config.mode == "discrete_exhaustive":
-        if selection_count(model) > SELECTION_CAP:
-            raise CapExceededError("selection count exceeds cap")
-        atoms_dn, atoms_up, dn_cands, up_cands = _atom_candidates(model)
+        atoms_dn, atoms_up, dn_cands, up_cands = _exhaustive_candidates(model)
         worst, trees = _engine.scan_min(model, dn_cands, up_cands, payoff,
                                         atoms_dn, atoms_up, prune=True)
     else:

@@ -1,6 +1,8 @@
 """The batched tree engine against the per-leaf oracle, bit for bit."""
 
+import ast
 import dataclasses
+import inspect
 import math
 import random
 import sys
@@ -274,6 +276,32 @@ class TestDrift:
             assert drift_outcome(m, sel) \
                 == (ZeroDivisionError, _engine._EQUAL_EXP)
 
+    def test_equal_exponentials_below_a_pruned_branch(self):
+        # e^{710} saturates at the root: the up child has the weights
+        # (1, 0) and is pruned.  Below it sigma = 7.1e-18 and e^{+-3 sigma}
+        # is 1 on both branches; below the live down child (sigma = 2e-17)
+        # it is not.  Tree values never divide at a pruned node, while the
+        # drift check judges every node.
+        m = EvolutionModel(100.0, (
+            StepSpec(0.5, (ShockAtom(-2000.0, 0.5), ShockAtom(710.0, 0.5)),
+                     VolatilitySpec.constant(1.0)),
+            StepSpec(0.5, (ShockAtom(-3.0, 0.5), ShockAtom(3.0, 0.5)),
+                     VolatilitySpec.arch1(1e-300, 1e-40, 1e-300))))
+        sel = next(all_selections(m))
+        atoms_dn, atoms_up, dn, up = measures._atom_candidates(m)
+        for payoff, want in ((Payoff.call(40.0), 10.0),
+                             (Payoff.put(120.0), 70.0),
+                             (Payoff.asian_put(120.0), 160.0 / 3.0)):
+            value = oracle_value(m, sel, payoff)
+            assert value == pytest.approx(want, rel=1e-15)
+            assert spot_expectation(m, sel, payoff) == value
+            assert superhedge_sup(m, payoff, SearchConfig(
+                mode="discrete_exhaustive")).value == value
+            assert np.concatenate(list(_engine.scan_values(
+                m, dn, up, payoff, atoms_dn, atoms_up))).tolist() == [value]
+        assert drift_outcome(m, sel) \
+            == (ZeroDivisionError, _engine._EQUAL_EXP)
+
     def test_first_failure_in_walk_order_wins(self):
         # the up child of the root saturates (sigma = 1001), which is no
         # failure; the down child's down child, earlier in a depth-first
@@ -450,6 +478,19 @@ def pair_model(pattern, vol, seed=7):
         steps.append(StepSpec(rng.uniform(0.2, 0.9), tuple(
             ShockAtom(e, 1.0 / len(eps)) for e in eps), vol))
     return EvolutionModel(100.0, tuple(steps))
+
+
+def test_engine_takes_no_numpy_exponential():
+    # np.exp differs from math.exp in the last bit on some inputs, and
+    # the engine's results are the scalar walk's bit for bit
+    source = inspect.getsource(_engine)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "exp":
+            assert not (isinstance(node.value, ast.Name)
+                        and node.value.id in ("np", "numpy")), \
+                f"line {node.lineno}: {ast.unparse(node)}"
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            assert "exp" not in [alias.name for alias in node.names]
 
 
 class TestDriftBlocks:

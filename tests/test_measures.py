@@ -15,7 +15,8 @@ from superhedge import (AtomPairSelection, EvolutionModel,
 from superhedge import _engine
 from superhedge._rng import SplitMix64
 from superhedge.measures import (Lattice, all_selections, history_at,
-                                 history_index, selection_count)
+                                 history_index, selection_count,
+                                 spot_tree_value)
 
 from _corpus import (bits, chain_model, random_model, random_step,
                      two_point_model)
@@ -186,6 +187,17 @@ class TestSpotMeasures:
         m = two_point_model(100.0, 0.5, 1.0, 0.7)
         with pytest.raises(ValidationError):
             SpotMeasure(m, AtomPairSelection(((1, 1),)))
+
+    def test_spot_tree_value_needs_one_pair_per_step(self):
+        m = chain_model(100.0, (0.5, 0.5), 1.0, 0.7)
+        call = Payoff.call(100.0)
+        for eps_dn, eps_up in (([-0.7], [0.7]),
+                               ([-0.7] * 3, [0.7] * 3),
+                               ([-0.7] * 2, [0.7] * 3)):
+            with pytest.raises(ValidationError, match="2-step model"):
+                spot_tree_value(m, eps_dn, eps_up, call)
+        assert spot_tree_value(m, [-0.7] * 2, [0.7] * 2, call) \
+            == spot_expectation(m, next(all_selections(m)), call)
 
     def test_zero_atom_not_selectable(self):
         shocks = (ShockAtom(-0.7, 0.4), ShockAtom(0.0, 0.2),

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from superhedge import (CapExceededError, Payoff, SearchConfig,
-                        ValidationError, closed_form_asian_call,
+from superhedge import (CapExceededError, EvolutionModel, Payoff,
+                        SearchConfig, StepSpec, ValidationError,
+                        VolatilitySpec, closed_form_asian_call,
                         closed_form_asian_put, closed_form_call,
                         closed_form_put, model_from_dict,
                         non_arbitrage_interval, payoff_bounds_bounded,
@@ -177,6 +178,18 @@ class TestSuperhedgeInf:
         assert not res.exact
         # extreme selections push the price away from the peak
         assert 0.0 <= res.value < hat.terminal_value(m.s0)
+
+    def test_pricing_only_model_rejected_as_by_the_sup(self):
+        # a non-convex claim reaches the exhaustive scan, which needs atoms
+        m = EvolutionModel(100.0, (StepSpec(0.5, (),
+                                            VolatilitySpec.constant(0.3)),),
+                           pricing_only=True)
+        hump = Payoff.piecewise_linear([(0.0, 5.0), (90.0, 0.0),
+                                        (110.0, 10.0)], 0.0)
+        assert not hump.is_convex
+        for search in (superhedge_sup, superhedge_inf):
+            with pytest.raises(ValidationError, match="pricing-only"):
+                search(m, hump, SearchConfig())
 
 
 class TestBounds:
