@@ -50,23 +50,24 @@ each root ``CHUNK_LEAVES`` leaves (``_split_level``), and below it one
 node's subtree at a time, in depth-first order, adding into the same
 running sums (for drifts, the same running maximum).
 
-``scan`` and ``scan_min`` with ``prune`` (the exhaustive sup and inf of
-``pricing``; grid scans and coordinate ascent scan in full) skip the
-combinations that cannot win.  ``_Bound`` prices every history of the
-candidate atoms by backward induction, choosing the best pair at each node
-(Föllmer & Schied, *Stochastic Finance*): an upper (lower) price of every
-selection below a prefix.  ``_Search`` walks the full scan's batches in
-its order and drops a prefix whose bound, widened by the rounding
-allowance eta, delta proved in ``_Bound``, cannot reach the best value
-found (Land & Doig).  Every kept combination is valued as in the full
-scan, so the value, the argmax and the tie-breaking are the full scan's
-bit for bit; values within eta of each other are all valued, since only
-their last bits decide the first argmax, so a claim whose selections tie
-(a linear claim) gains nothing.  The full scan runs when one block holds
+``scan`` and ``scan_min`` (every sup and inf scan of ``pricing``:
+exhaustive, grid and coordinate ascent) skip the combinations that cannot
+win.  ``_Bound`` prices every history of the candidate atoms by backward
+induction, choosing the best pair at each node (Föllmer & Schied,
+*Stochastic Finance*): an upper (lower) price of every selection below a
+prefix.  ``_Search`` walks the full scan's batches in its order and drops
+a prefix whose bound, widened by the rounding allowance eta, delta proved
+in ``_Bound``, cannot reach the best value found (Land & Doig).  Every
+kept combination is valued as in the full scan, so the value, the argmax
+and the tie-breaking are the full scan's bit for bit; values within eta of
+each other are all valued, since only their last bits decide the first
+argmax, so a claim whose selections tie (a linear claim) gains nothing,
+and a batch whose bounds dropped nothing grows its subtree without them.
+The full scan runs only where ``_Search.start`` declines: one block holds
 the whole scan, a tree has more than ``CHUNK_LEAVES`` leaves, the
 candidate grid has more than ``GRID_LEAVES`` leaves, or the bound holds a
-non-finite exponential, weight, price or value or a negative payoff or
-raises (the full scan then raises its own error).
+non-finite exponential, price or value or a negative payoff or raises
+(the full scan then raises its own error).
 """
 
 from __future__ import annotations
@@ -229,11 +230,17 @@ class _Branch:
     def pick(self, r: np.ndarray, q: np.ndarray) -> "_Branch":
         """The entries of (row ``r[i]``, pair ``q[i]``), one pair per row:
         shaped ``[len(r), 1, nodes | 1]``."""
+        return self._map(lambda x: (x[r, q] if x.shape[0] > 1
+                                    else x[0, q])[:, None])
+
+    def pairs(self, lo: int, hi: int) -> "_Branch":
+        """Pairs ``lo:hi`` of every row."""
+        return self._map(lambda x: x[:, lo:hi])
+
+    def _map(self, cut) -> "_Branch":
         out = _Branch.__new__(_Branch)
         for name in self.__slots__:
-            x = getattr(self, name)
-            setattr(out, name,
-                    (x[r, q] if x.shape[0] > 1 else x[0, q])[:, None])
+            setattr(out, name, cut(getattr(self, name)))
         return out
 
 
@@ -586,9 +593,17 @@ def max_drift(model, eps_dn, eps_up) -> float:
 # -- scans over candidate combinations ----------------------------------------
 
 class _Plan:
-    """Per-step candidate pairs of a scan, pair ``p = i * n_up + j``."""
+    """Per-step candidate pairs of a scan, pair ``p = i * n_up + j``, and
+    the candidates they come from (``_Bound`` reads them).  Atom indices
+    are kept only when the payoff reads atom paths (``with_atoms``)."""
 
-    def __init__(self, dn_cands, up_cands, atoms_dn, atoms_up):
+    def __init__(self, dn_cands, up_cands, atoms_dn, atoms_up,
+                 want_paths: bool):
+        self.with_atoms = atoms_dn is not None and want_paths
+        if not self.with_atoms:
+            atoms_dn = atoms_up = None
+        self.dn, self.up = dn_cands, up_cands
+        self.atoms_dn, self.atoms_up = atoms_dn, atoms_up
         self.eps_d, self.eps_u, self.at_d, self.at_u = [], [], [], []
         self.n_up, self.pairs = [], []
         for st, (dn, up) in enumerate(zip(dn_cands, up_cands)):
@@ -614,120 +629,128 @@ class _Plan:
         return out[::-1]
 
 
-def _deep_scan(m: _Model, pay: _Payoff, plan: _Plan, with_atoms: bool
-               ) -> Iterator[np.ndarray]:
-    """``scan_values`` for trees of more than ``CHUNK_LEAVES`` leaves: one
+def _deep_scan(m: _Model, pay: _Payoff, plan: _Plan) -> Iterator[np.ndarray]:
+    """``_values`` for trees of more than ``CHUNK_LEAVES`` leaves: one
     tree at a time."""
-    with np.errstate(all="ignore"):
-        for combo in itertools.product(*map(range, plan.pairs)):
-            def pick(per_step):
-                return [per_step[st][0, p] for st, p in enumerate(combo)]
-            yield np.array([_tree_value(
-                m, pay, pick(plan.eps_d), pick(plan.eps_u),
-                pick(plan.at_d) if with_atoms else None,
-                pick(plan.at_u) if with_atoms else None)])
+    for combo in itertools.product(*map(range, plan.pairs)):
+        def pick(per_step):
+            return [per_step[st][0, p] for st, p in enumerate(combo)]
+        yield np.array([_tree_value(
+            m, pay, pick(plan.eps_d), pick(plan.eps_u),
+            pick(plan.at_d) if plan.with_atoms else None,
+            pick(plan.at_u) if plan.with_atoms else None)])
 
 
 def _walk(plan: _Plan, n: int, root, expand) -> Iterator:
     """The lexicographic walk of a scan: the leaf batches grown from
-    ``root`` by ``expand(batch, level, lo, hi)`` (the children of every row
-    under pairs ``lo:hi``, all pairs when ``hi`` is None; None when no child
-    is kept), in lexicographic order, each of at most ``CHUNK_LEAVES``
-    leaves.  A batch has ``rows`` and ``take(rows)``."""
+    ``root`` in lexicographic order, each of at most ``CHUNK_LEAVES``
+    leaves.  ``expand(batch, level, step)`` yields the children of every
+    row of ``batch`` one batch per ``step`` pairs (all pairs at once when
+    ``step`` is None), skipping a batch with no child kept; it is resumed
+    only once the previous batch's subtree has been walked.  A batch has
+    ``rows`` and ``take(rows)``."""
     below = [0] * (n + 1)      # leaves under one row at each level
     below[n] = 2 ** n
     for level in range(n - 1, -1, -1):
         below[level] = below[level + 1] * plan.pairs[level]
 
     def walk(batch, level):
-        if batch is None:
-            return
         if level == n:
             yield batch
             return
         rows, per_row = batch.rows, below[level]
+        step = None
         if rows * per_row <= CHUNK_LEAVES:
-            yield from walk(expand(batch, level, 0, None), level + 1)
+            parts = (batch,)
         elif per_row <= CHUNK_LEAVES:
-            step = CHUNK_LEAVES // per_row
-            for lo in range(0, rows, step):
-                yield from walk(expand(batch.take(slice(lo, lo + step)),
-                                       level, 0, None), level + 1)
+            size = CHUNK_LEAVES // per_row
+            parts = (batch.take(slice(lo, lo + size))
+                     for lo in range(0, rows, size))
         else:
             step = max(1, CHUNK_LEAVES // below[level + 1])
-            for r in range(rows):
-                row = batch.take(slice(r, r + 1))
-                for lo in range(0, plan.pairs[level], step):
-                    yield from walk(expand(row, level, lo, lo + step),
-                                    level + 1)
+            parts = (batch.take(slice(r, r + 1)) for r in range(rows))
+        for part in parts:
+            for child in expand(part, level, step):
+                yield from walk(child, level + 1)
 
     yield from walk(root, 0)
+
+
+def _values(m: _Model, pay: _Payoff, plan: _Plan) -> Iterator[np.ndarray]:
+    """The full scan: tree values of every candidate combination, in
+    lexicographic order, one chunk at a time."""
+    with np.errstate(all="ignore"):
+        if 2 ** m.n > CHUNK_LEAVES:
+            yield from _deep_scan(m, pay, plan)
+            return
+
+        def expand(nodes, level, step):
+            pairs = plan.pairs[level]
+            for lo in range(0, pairs, step or pairs):
+                sl = slice(lo, lo + (step or pairs))
+                eps_d, eps_u = plan.eps_d[level][:, sl], \
+                    plan.eps_u[level][:, sl]
+                br = _Branch(nodes, eps_d, eps_u).checked(nodes)
+                at_d = plan.at_d[level][:, sl] if plan.with_atoms else None
+                at_u = plan.at_u[level][:, sl] if plan.with_atoms else None
+                yield _grow(m, level, nodes, br, eps_d, eps_u, at_d, at_u)
+
+        root = _root(m, pay.want_psum, pay.want_paths, plan.with_atoms)
+        for leaves in _walk(plan, m.n, root, expand):
+            yield _leaf_values(m, pay, leaves)
+
+
+def _prepare(model, dn_cands, up_cands, payoff, atoms_dn, atoms_up):
+    pay = _Payoff(payoff)
+    return _Model(model), pay, _Plan(dn_cands, up_cands, atoms_dn, atoms_up,
+                                     pay.want_paths)
 
 
 def scan_values(model, dn_cands, up_cands, payoff, atoms_dn=None,
                 atoms_up=None) -> Iterator[np.ndarray]:
     """Tree values of every candidate combination, in lexicographic order,
     one chunk at a time."""
-    m = _Model(model)
-    pay = _Payoff(payoff)
-    plan = _Plan(dn_cands, up_cands, atoms_dn, atoms_up)
-    with_atoms = atoms_dn is not None and pay.want_paths
-    if 2 ** m.n > CHUNK_LEAVES:
-        yield from _deep_scan(m, pay, plan, with_atoms)
-        return
-
-    def expand(nodes, level, lo, hi):
-        sl = slice(lo, hi)
-        eps_d, eps_u = plan.eps_d[level][:, sl], plan.eps_u[level][:, sl]
-        br = _Branch(nodes, eps_d, eps_u).checked(nodes)
-        at_d = plan.at_d[level][:, sl] if with_atoms else None
-        at_u = plan.at_u[level][:, sl] if with_atoms else None
-        return _grow(m, level, nodes, br, eps_d, eps_u, at_d, at_u)
-
-    with np.errstate(all="ignore"):
-        for leaves in _walk(plan, m.n, _root(m, pay.want_psum, pay.want_paths,
-                                             with_atoms), expand):
-            yield _leaf_values(m, pay, leaves)
+    yield from _values(*_prepare(model, dn_cands, up_cands, payoff,
+                                 atoms_dn, atoms_up))
 
 
-def scan(model, dn_cands, up_cands, payoff, atoms_dn=None, atoms_up=None,
-         prune: bool = False):
+def scan(model, dn_cands, up_cands, payoff, atoms_dn=None, atoms_up=None):
     """Maximum tree value over every candidate combination, its per-step
     (down, up) candidate indices and the number of trees valued; ties and
     NaN resolve as in a sequential scan that keeps the incumbent unless a
     value is strictly larger (indices None when no value exceeds -inf).
-    With ``prune`` the combinations that cannot win are skipped by the
-    node-wise bound (``_Bound``, ``_Search``), with the same result."""
-    plan = _Plan(dn_cands, up_cands, None, None)
-    search = _Search.start(model, dn_cands, up_cands, payoff, atoms_dn,
-                           atoms_up, True) if prune else None
+    The combinations that cannot win are skipped by the node-wise bound
+    (``_Bound``, ``_Search``) wherever ``_Search.start`` accepts the scan;
+    elsewhere every combination is valued.  The result is the same."""
+    m, pay, plan = _prepare(model, dn_cands, up_cands, payoff, atoms_dn,
+                            atoms_up)
+    search = _Search.start(m, pay, plan, True)
     if search is not None:
         best, best_at, trees = search.run()
-        return best, plan.decode(best_at), trees
-    best, best_at, offset = -_INF, None, 0
-    for vals in scan_values(model, dn_cands, up_cands, payoff, atoms_dn,
-                            atoms_up):
-        clean = np.where(np.isnan(vals), -_INF, vals)
-        i = int(np.argmax(clean))
-        if clean[i] > best:
-            best, best_at = float(clean[i]), offset + i
-        offset += vals.size
-    return best, None if best_at is None else plan.decode(best_at), offset
+    else:
+        best, best_at, trees = -_INF, None, 0
+        for vals in _values(m, pay, plan):
+            clean = np.where(np.isnan(vals), -_INF, vals)
+            i = int(np.argmax(clean))
+            if clean[i] > best:
+                best, best_at = float(clean[i]), trees + i
+            trees += vals.size
+    return best, None if best_at is None else plan.decode(best_at), trees
 
 
 def scan_min(model, dn_cands, up_cands, payoff, atoms_dn=None,
-             atoms_up=None, prune: bool = False) -> tuple[float, int]:
+             atoms_up=None) -> tuple[float, int]:
     """Minimum tree value over every candidate combination (NaN never
     wins; +inf when there is nothing smaller) and the number of trees
-    valued; ``prune`` as in ``scan``."""
-    search = _Search.start(model, dn_cands, up_cands, payoff, atoms_dn,
-                           atoms_up, False) if prune else None
+    valued; pruned as in ``scan``."""
+    m, pay, plan = _prepare(model, dn_cands, up_cands, payoff, atoms_dn,
+                            atoms_up)
+    search = _Search.start(m, pay, plan, False)
     if search is not None:
         worst, _, trees = search.run()
         return worst, trees
     worst, trees = _INF, 0
-    for vals in scan_values(model, dn_cands, up_cands, payoff, atoms_dn,
-                            atoms_up):
+    for vals in _values(m, pay, plan):
         low = float(np.where(np.isnan(vals), _INF, vals).min())
         if low < worst:
             worst = low
@@ -808,29 +831,32 @@ class _Bound:
     no selection extending the prefix reaches it, nor ties it.
     """
 
-    def __init__(self, m: _Model, pay: _Payoff, dn_cands, up_cands,
-                 atoms_dn, atoms_up, maximize: bool):
+    def __init__(self, m: _Model, pay: _Payoff, plan: _Plan, maximize: bool):
         n = m.n
-        with_atoms = atoms_dn is not None and pay.want_paths
+        dn_cands, up_cands = plan.dn, plan.up
+        atoms_dn, atoms_up = plan.atoms_dn, plan.atoms_up
         price = np.array([m.s0])
         sigma = np.array([m.vols[0].initial_sigma()])
         psum = price if pay.want_psum else None
         hist = price[:, None] if pay.want_paths else None
-        codes = np.zeros(1, dtype=m.code_dtype) if with_atoms else None
-        self.n_down, self.width, weights = [], [], []
-        self.ok = False
+        codes = np.zeros(1, dtype=m.code_dtype) if plan.with_atoms else None
+        self.n_down, self.width, self.e, self.psi = [], [], [], []
+        self.maximize, self.ok = maximize, False
         for k in range(n):
             nd = len(dn_cands[k])
             eps = np.asarray(list(dn_cands[k]) + list(up_cands[k]),
                              dtype=float)
             args = sigma[:, None] * eps
             e = _exp(args.ravel()).reshape(args.shape)
-            psi = _branch_weights(e[:, :nd, None], e[:, None, nd:])
-            if not (np.isfinite(e).all() and np.isfinite(psi).all()):
+            if not np.isfinite(e).all():
                 return
+            # a weight of 0 / 0 (equal exponentials) is NaN, and so are the
+            # V above it: the check of the V's below refuses it
+            psi = _branch_weights(e[:, :nd, None], e[:, None, nd:])
             self.n_down.append(nd)
             self.width.append(eps.size)
-            weights.append(psi)
+            self.e.append(e)
+            self.psi.append(psi)
             grown = _moved(price[:, None], e, m.a[k])          # [G, c]
             if psum is not None:
                 psum = (psum[:, None] + grown).ravel()
@@ -849,8 +875,8 @@ class _Bound:
                          else np.broadcast_to(vol.next_sigmas(
                              sigma[:, None], args), grown.shape).ravel())
             price = grown.ravel()
-            if not np.isfinite(price).all():
-                return
+        if not np.isfinite(price).all():   # an infinite price stays so
+            return
         leaves = _Nodes(price[None], None, None if psum is None
                         else psum[None], None, None,
                         None if hist is None else hist[None],
@@ -859,46 +885,110 @@ class _Bound:
         if not (np.isfinite(pay_n).all() and (pay_n >= 0.0).all()):
             return
         extreme = np.max if maximize else np.min
-        self.value, self.zero = [None] * n + [pay_n], [None] * n + [
-            pay_n == 0.0]
+        self.value = [None] * n + [pay_n]
         for k in range(n - 1, -1, -1):
             nd, c = self.n_down[k], self.width[k]
             child = self.value[k + 1].reshape(-1, c)
-            psi_d, psi_u = weights[k]
+            psi_d, psi_u = self.psi[k]
             t = psi_d * child[:, :nd, None] + psi_u * child[:, None, nd:]
             self.value[k] = extreme(t.reshape(t.shape[0], -1), axis=1)
-            self.zero[k] = self.zero[k + 1].reshape(-1, c).all(axis=1)
-        # None where no history's subtree pays exactly 0 throughout
-        self.zero = [z if z.any() else None for z in self.zero]
-        top = max(float(v.max()) for v in self.value)
-        if not math.isfinite(top):
+        # NaN (a weight of 0 / 0) wins every max and min
+        tops = np.array([v.max() for v in self.value])
+        if not np.isfinite(tops).all():
             return
+        top = float(tops.max())
+        # None where no history's subtree pays exactly 0 throughout
+        self.zero = [None] * (n + 1)
+        zero = pay_n == 0.0
+        if zero.any():
+            self.zero[n] = zero
+            for k in range(n - 1, -1, -1):
+                zero = zero.reshape(-1, self.width[k]).all(axis=1)
+                if not zero.any():
+                    break
+                self.zero[k] = zero
         leaves_n = 2 ** n
         steps = 2 * leaves_n + 3 * n + 4
         self.eta = steps * _U / (1.0 - steps * _U)
         self.delta = math.ldexp(8.0 * leaves_n * (n * top + 1.0), -1074)
         self.ok = True
 
+    def branch(self, level: int, cols) -> _Branch:
+        """The branch of the pairs (down candidate ``cols[0]``, up
+        candidate ``cols[1]``) at a level whose histories share one
+        volatility: the grid's own exponentials and weights, which are
+        the engine's, shaped ``[1, pairs, 1]``."""
+        e, (psi_d, psi_u) = self.e[level][0], self.psi[level]
+        i, j = cols[0], cols[1] - self.n_down[level]
+        out = _Branch.__new__(_Branch)
+        out.ed, out.eu = e[cols[0]][None, :, None], e[cols[1]][None, :, None]
+        out.psi_d = psi_d[0, i, j][None, :, None]
+        out.psi_u = psi_u[0, i, j][None, :, None]
+        return out
+
+    def greedy(self) -> float:
+        """The engine's value of the greedy selection: at every level the
+        pair of best bound for the prefix chosen so far.  Its leaf weights
+        are products of the grid's weights taken in the engine's order and
+        its terms are added left to right, in depth-first order, so it is
+        the engine's value bit for bit (a term below a weight of exactly 0
+        is 0, as the engine's masked one)."""
+        hist = np.zeros(1, dtype=np.intp)      # the prefix's grid nodes
+        prob = np.ones(1)
+        for k, (psi_d, psi_u) in enumerate(self.psi):
+            nd, c = self.n_down[k], self.width[k]
+            if psi_d.shape[0] > 1:
+                psi_d, psi_u = psi_d[hist], psi_u[hist]
+            v = self.value[k + 1].reshape(-1, c)[hist]
+            t = psi_d * v[:, :nd, None]
+            t += psi_u * v[:, None, nd:]
+            b = prob @ t.reshape(prob.size, -1)
+            i, j = divmod(int(b.argmax() if self.maximize else b.argmin()),
+                          t.shape[2])
+            hist = (hist[:, None] * c + (i, nd + j)).ravel()
+            w = np.empty((psi_d.shape[0], 2))
+            w[:, 0], w[:, 1] = psi_d[:, i, j], psi_u[:, i, j]
+            prob = (prob[:, None] * w).ravel()
+        return float(np.add.accumulate(self.value[-1][hist] * prob)[-1])
+
 
 class _Prefixes:
-    """A batch of the pruned walk: its rows' nodes, each row's prefix as a
-    flat lexicographic index and each node's history in the bound's grid
-    (None for leaves)."""
+    """A batch of the pruned walk: its rows' nodes, each node's history in
+    the bound's grid (None where no bound is taken below the rows: their
+    children are leaves, or their subtree grows without bounds), and where
+    the rows come from, so that a row's prefix is known as a flat
+    lexicographic index (``code``) only when it is asked for: the rows
+    ``lo:`` of ``up`` (``pairs`` None), or the children of ``up``'s rows
+    under ``pairs`` pairs per step, (row ``r[i]``, pair ``lo + q[i]``) or,
+    when ``r`` is None, every row under pairs ``lo:lo + width``."""
 
-    __slots__ = ("nodes", "codes", "hidx")
+    __slots__ = ("nodes", "hidx", "up", "lo", "pairs", "width", "r", "q")
 
-    def __init__(self, nodes: _Nodes, codes: np.ndarray, hidx: np.ndarray):
-        self.nodes = nodes
-        self.codes = codes
-        self.hidx = hidx
+    def __init__(self, nodes: _Nodes, hidx, up=None, lo=0, pairs=None,
+                 width=0, r=None, q=None):
+        self.nodes, self.hidx = nodes, hidx
+        self.up, self.lo, self.pairs = up, lo, pairs
+        self.width, self.r, self.q = width, r, q
 
     @property
     def rows(self) -> int:
-        return self.codes.size
+        return self.nodes.rows
 
-    def take(self, rows) -> "_Prefixes":
-        return _Prefixes(self.nodes.take(rows), self.codes[rows],
-                         None if self.hidx is None else self.hidx[rows])
+    def take(self, rows: slice) -> "_Prefixes":
+        return _Prefixes(self.nodes.take(rows),
+                         None if self.hidx is None else self.hidx[rows],
+                         self, rows.start or 0)
+
+    def code(self, i: int) -> int:
+        if self.up is None:
+            return 0
+        if self.pairs is None:
+            return self.up.code(self.lo + i)
+        if self.r is None:
+            row, pair = divmod(i, self.width)
+        else:
+            row, pair = int(self.r[i]), int(self.q[i])
+        return self.up.code(row) * self.pairs + self.lo + pair
 
 
 class _Search:
@@ -911,75 +1001,71 @@ class _Search:
     does, so those children are all valued.
 
     The incumbent starts as the engine value of one greedy descent (the
-    child of best bound at every level) and is the best value reached so
-    far.  A maximum drops a child whose upper bound is below it: no
-    selection there reaches it, nor ties it.  It also drops a child whose
+    child of best bound at every level, taken on the grid by
+    ``_Bound.greedy``) and is the best value reached so far.  A maximum
+    drops a child whose upper bound is below it: no selection there
+    reaches it, nor ties it.  It also drops a child whose
     every reachable leaf pays exactly 0 once a selection earlier in
     lexicographic order has reached a value >= 0: the child's selections
     are worth exactly 0.0 and cannot replace that one under the strict
     ``>`` rule.  Every kept selection is valued by the engine as in the
     full scan, so the maximum, its first argmax and the tie-breaking are
-    those of the full scan: the first maximiser is never dropped.  Ties
-    cost time: a selection within eta of the incumbent is valued, since
-    only its last bits can say which of the two comes first.  A minimum
-    has no argmax, so it drops a child whose lower bound (at least 0, as
-    payoffs are non-negative) is not below the incumbent, and counts the
-    greedy selection among its candidates."""
+    those of the full scan: the first maximiser is never dropped.  A
+    minimum has no argmax, so it drops a child whose lower bound (at least
+    0, as payoffs are non-negative) is not below the incumbent, and counts
+    the greedy selection among its candidates.
 
-    def __init__(self, m: _Model, pay: _Payoff, plan: _Plan,
-                 with_atoms: bool, bound: _Bound, maximize: bool):
+    Bounds are taken once per batch and pair range, for as many of the
+    walk's chunks of pairs as ``CHUNK_LEAVES`` (row, pair, node) entries
+    hold, and each chunk is compared with the incumbent of its turn.
+    Ties cost time: a selection within eta of the incumbent is valued,
+    since only its last bits can say which of the two comes first.  So a
+    batch whose bounds keep every child once the walk has valued a tree
+    (before that the zero rule is off) grows its subtree without bounds:
+    its bounds separated nothing, and those below it would be paid for
+    every child and, on a tie, drop none.  A row's flat index is derived
+    from its batch's origin only for a new maximum (``_Prefixes.code``)."""
+
+    def __init__(self, m: _Model, pay: _Payoff, plan: _Plan, bound: _Bound,
+                 maximize: bool):
         self.m, self.pay, self.plan = m, pay, plan
-        self.with_atoms, self.bound, self.maximize = with_atoms, bound, \
-            maximize
+        self.bound, self.maximize = bound, maximize
         self.best = -_INF if maximize else _INF   # of the walk, in order
         self.best_at = None
         self.incumbent = self.best
         self.trees = 0
+        self.made = {}      # (level, lo, hi) -> (columns, shared branch)
 
     @classmethod
-    def start(cls, model, dn_cands, up_cands, payoff, atoms_dn, atoms_up,
+    def start(cls, m: _Model, pay: _Payoff, plan: _Plan,
               maximize: bool) -> "_Search | None":
         """The pruned scan, or None where the full scan runs instead: when
         the scan fits in one block (nothing to skip), a tree has more than
         ``CHUNK_LEAVES`` leaves (rows are held whole), the grid has more
         than ``GRID_LEAVES`` leaves, or the bound is not ``ok`` or raises
         (the full scan then raises its own error)."""
-        sizes = [(len(d), len(u)) for d, u in zip(dn_cands, up_cands)]
-        leaves = 2 ** len(sizes)
+        leaves = 2 ** m.n
         if leaves > CHUNK_LEAVES \
-                or math.prod(d * u for d, u in sizes) * leaves <= CHUNK_LEAVES \
-                or math.prod(d + u for d, u in sizes) > GRID_LEAVES:
+                or math.prod(plan.pairs) * leaves <= CHUNK_LEAVES \
+                or math.prod(len(d) + len(u)
+                             for d, u in zip(plan.dn, plan.up)) > GRID_LEAVES:
             return None
-        m, pay = _Model(model), _Payoff(payoff)
-        plan = _Plan(dn_cands, up_cands, atoms_dn, atoms_up)
-        with_atoms = atoms_dn is not None and pay.want_paths
         try:
             with np.errstate(all="ignore"):
-                bound = _Bound(m, pay, dn_cands, up_cands, atoms_dn,
-                               atoms_up, maximize)
+                bound = _Bound(m, pay, plan, maximize)
         except Exception:     # a payoff's own error, say: the full scan
             return None       # meets it where it occurs and raises it
-        return cls(m, pay, plan, with_atoms, bound, maximize) \
-            if bound.ok else None
+        return cls(m, pay, plan, bound, maximize) if bound.ok else None
 
     def run(self) -> tuple[float, int | None, int]:
         """The extreme value, its flat index (maximum only) and the number
         of trees valued."""
         m, pay = self.m, self.pay
         root = _Prefixes(_root(m, pay.want_psum, pay.want_paths,
-                               self.with_atoms),
-                         np.zeros(1, dtype=np.int64),
-                         np.zeros((1, 1), dtype=np.int32))
+                               self.plan.with_atoms),
+                         np.zeros((1, 1), dtype=np.int32) if m.n > 1 else None)
         with np.errstate(all="ignore"):
-            row = root
-            for level in range(m.n):
-                br, cols = self._branch(row, level, 0, None)
-                b = self._bounds(row, level, br, cols)[0]
-                best = np.argmax(b) if self.maximize else np.argmin(b)
-                row = self._grow(row, level, 0, br, cols,
-                                 np.zeros(1, dtype=np.intp),
-                                 np.array([best]))
-            self.incumbent = float(_leaf_values(m, pay, row.nodes)[0])
+            self.incumbent = self.bound.greedy()
             self.trees = 1
             for leaves in _walk(self.plan, m.n, root, self._expand):
                 self._value(leaves)
@@ -993,22 +1079,31 @@ class _Search:
         if self.maximize:
             i = int(np.argmax(vals))
             if vals[i] > self.best:
-                self.best, self.best_at = float(vals[i]), int(leaves.codes[i])
+                self.best, self.best_at = float(vals[i]), leaves.code(i)
                 self.incumbent = max(self.incumbent, self.best)
         else:
             self.incumbent = min(self.incumbent, float(vals.min()))
 
-    def _branch(self, batch: _Prefixes, level: int, lo: int, hi):
+    def _branch(self, batch: _Prefixes, level: int, lo: int, hi: int):
         """The branch of every (row, pair) child for pairs ``lo:hi``, and
         the pairs' down and up candidates (the columns of a grid node's
-        children)."""
-        plan = self.plan
-        sl = slice(lo, hi)
-        br = _Branch(batch.nodes, plan.eps_d[level][:, sl],
-                     plan.eps_u[level][:, sl]).checked(batch.nodes)
-        i, j = np.divmod(np.arange(plan.pairs[level], dtype=np.int32)[sl],
-                         plan.n_up[level])
-        return br, (i, j + self.bound.n_down[level])
+        children), both made once per level and pair range.  Where the
+        rows' nodes share one volatility (the root, a constant one) the
+        branch is the grid's (``_Bound.branch``)."""
+        nodes, plan = batch.nodes, self.plan
+        key = (level, lo, min(hi, plan.pairs[level]))
+        got = self.made.get(key)
+        if got is None:
+            i, j = np.divmod(np.arange(*key[1:], dtype=np.int32),
+                             plan.n_up[level])
+            cols = (i, j + self.bound.n_down[level])
+            got = self.made[key] = (cols, self.bound.branch(level, cols)
+                                    if nodes.sigma.shape == (1, 1) else None)
+        cols, br = got
+        if br is None:
+            br = _Branch(nodes, plan.eps_d[level][:, lo:hi],
+                         plan.eps_u[level][:, lo:hi])
+        return br.checked(nodes), cols
 
     def _bounds(self, batch: _Prefixes, level: int, br: _Branch, cols):
         """The bound of every (row, pair) child."""
@@ -1020,62 +1115,91 @@ class _Search:
         t *= batch.nodes.prob[:, None, :]
         return t.sum(axis=2)
 
-    def _expand(self, batch: _Prefixes, level: int, lo: int, hi):
-        br, cols = self._branch(batch, level, lo, hi)
-        if level + 1 == self.m.n:
-            return self._grow(batch, level, lo, br, cols, None, None)
-        b = self._bounds(batch, level, br, cols)
+    def _zero(self, batch: _Prefixes, level: int, cols):
+        """Whether every reachable leaf of each (row, pair) child pays
+        exactly 0."""
         bound = self.bound
-        if self.maximize:
-            keep = ~(b * (1.0 + bound.eta) + bound.delta < self.incumbent)
-            zero = bound.zero[level + 1]
-            if self.best >= 0.0 and zero is not None:
-                zero = zero.reshape(-1, bound.width[level])[
-                    batch.hidx]                        # [rows, nodes, c]
-                keep &= ~(zero[:, :, cols[0]] & zero[:, :, cols[1]]).all(
-                    axis=1)
-        else:
-            low = b * (1.0 - bound.eta) - bound.delta
-            keep = np.maximum(low, 0.0) < self.incumbent
-        r, q = np.nonzero(keep)
-        if r.size == 0:
-            return None
-        if r.size == keep.size:
-            r = q = None
-        return self._grow(batch, level, lo, br, cols, r, q)
+        zero = bound.zero[level + 1].reshape(-1, bound.width[level])[
+            batch.hidx]                                # [rows, nodes, c]
+        return (zero[:, :, cols[0]] & zero[:, :, cols[1]]).all(axis=1)
+
+    def _expand(self, batch: _Prefixes, level: int, step):
+        pairs = self.plan.pairs[level]
+        step = step or pairs
+        if batch.hidx is None:
+            for lo in range(0, pairs, step):
+                br, cols = self._branch(batch, level, lo, lo + step)
+                yield self._grow(batch, level, lo, br, cols, None, None,
+                                 False)
+            return
+        bound = self.bound
+        indexed = level + 2 < self.m.n      # rows below are bounded
+        unit = step * max(1, CHUNK_LEAVES
+                          // (batch.rows * batch.nodes.width * step))
+        for first in range(0, pairs, unit):
+            br, cols = self._branch(batch, level, first, first + unit)
+            b = self._bounds(batch, level, br, cols)
+            reach = (b * (1.0 + bound.eta) + bound.delta if self.maximize
+                     else np.maximum(b * (1.0 - bound.eta) - bound.delta,
+                                     0.0))
+            zero = against = None
+            for lo in range(0, b.shape[1], step):
+                zeros = self.maximize and self.best >= 0.0 \
+                    and bound.zero[level + 1] is not None
+                if against != (self.incumbent, zeros):
+                    against = (self.incumbent, zeros)
+                    if not self.maximize:
+                        keep = reach < self.incumbent
+                    else:
+                        keep = ~(reach < self.incumbent)
+                        if zeros:
+                            if zero is None:
+                                zero = self._zero(batch, level, cols)
+                            keep &= ~zero
+                    every = bool(keep.all())
+                r = q = None
+                if not every:
+                    part = keep[:, lo:lo + step]
+                    r, q = np.nonzero(part)
+                    if r.size == 0:
+                        continue
+                    if r.size == part.size:
+                        r = q = None
+                yield self._grow(
+                    batch, level, first + lo, br.pairs(lo, lo + step),
+                    (cols[0][lo:lo + step], cols[1][lo:lo + step]), r, q,
+                    indexed and not (self.trees > 1 and every))
 
     def _grow(self, batch: _Prefixes, level: int, lo: int, br: _Branch,
-              cols, r, q) -> _Prefixes:
-        """The children (row ``r[i]``, pair ``lo + q[i]``), in that order;
-        every child when ``r`` is None."""
+              cols, r, q, indexed: bool) -> _Prefixes:
+        """The children (row ``r[i]``, pair ``lo + q[i]``), in that order
+        (every child when ``r`` is None), with their grid index when
+        ``indexed``."""
         plan = self.plan
         hi = lo + br.ed.shape[1]
         eps_d, eps_u = plan.eps_d[level][:, lo:hi], plan.eps_u[level][:, lo:hi]
-        at_d = plan.at_d[level][:, lo:hi] if self.with_atoms else None
-        at_u = plan.at_u[level][:, lo:hi] if self.with_atoms else None
+        at_d = plan.at_d[level][:, lo:hi] if plan.with_atoms else None
+        at_u = plan.at_u[level][:, lo:hi] if plan.with_atoms else None
         pairs, width = plan.pairs[level], self.bound.width[level]
-        leaves = level + 1 == self.m.n     # no bound below: no grid index
         if r is None:
-            codes = (batch.codes[:, None] * pairs
-                     + np.arange(lo, hi)).ravel()
             nodes = _grow(self.m, level, batch.nodes, br, eps_d, eps_u,
                           at_d, at_u)
-            if leaves:
-                return _Prefixes(nodes, codes, None)
-            base = batch.hidx[:, None, :] * width
-            shape = (batch.rows, hi - lo, batch.hidx.shape[1])
-            return _Prefixes(nodes, codes, _interleave(
-                base + cols[0][:, None], base + cols[1][:, None], shape))
+            hidx = None
+            if indexed:
+                base = batch.hidx[:, None, :] * width
+                hidx = _interleave(base + cols[0][:, None],
+                                   base + cols[1][:, None],
+                                   (batch.rows, hi - lo, batch.hidx.shape[1]))
+            return _Prefixes(nodes, hidx, batch, lo, pairs, hi - lo)
 
         def one(x):            # [1, pairs] per step -> [kept, 1]
             return None if x is None else x[0, q][:, None]
         nodes = _grow(self.m, level, batch.nodes.take(r), br.pick(r, q),
                       one(eps_d), one(eps_u), one(at_d), one(at_u))
-        codes = batch.codes[r] * pairs + lo + q
-        if leaves:
-            return _Prefixes(nodes, codes, None)
-        base = (batch.hidx[r] * width)[:, None, :]
-        shape = (r.size, 1, batch.hidx.shape[1])
-        return _Prefixes(nodes, codes, _interleave(
-            base + cols[0][q][:, None, None],
-            base + cols[1][q][:, None, None], shape))
+        hidx = None
+        if indexed:
+            base = (batch.hidx[r] * width)[:, None, :]
+            hidx = _interleave(base + cols[0][q][:, None, None],
+                               base + cols[1][q][:, None, None],
+                               (r.size, 1, batch.hidx.shape[1]))
+        return _Prefixes(nodes, hidx, batch, lo, pairs, hi - lo, r, q)

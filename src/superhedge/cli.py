@@ -130,9 +130,9 @@ def _cmd_price(args) -> int:
               "method": args.method, "value": value,
               "interval": {"lower": interval.lower, "upper": interval.upper},
               "argmax_selection": argmax, "provenance": provenance}
-    if args.method == "exhaustive":
-        report["stats"] = {"selections": measures.selection_count(model),
-                           "trees": res.trees}
+    if args.method != "closed":
+        key = "selections" if args.method == "exhaustive" else "combinations"
+        report["stats"] = {key: res.combinations, "trees": res.trees}
     print(f"{args.payoff} strike {args.strike}: value {value:.10g} "
           f"({args.method}); non-arbitrage [{interval.lower:.10g}, "
           f"{interval.upper:.10g}]")

@@ -18,13 +18,16 @@ arithmetic path mean of the all-down limit.  Grid-mode results carry a
 crude one-sided gap bound ``s0 * N * (exp(-sigma_lo*hi) + exp(sigma_lo*lo))``
 so search values are never silently conflated with the analytic limits.
 
-The exhaustive sup and inf skip the selections that a node-wise
-backward-induction bound rules out and value every other one as the full
-scan does (``_engine.scan`` / ``scan_min`` with ``prune``; the bound, its
-rounding allowance and its fallbacks to the full scan are stated there),
-so they equal the full scan, and ``oracle.brute_sup_selections``, bit for
-bit.  ``SupResult.trees`` and ``InfResult.trees`` count the spot trees
-the engine valued.
+Every scan, exhaustive or over the grid, sup or inf, skips the
+combinations that a node-wise backward-induction bound rules out and
+values every other one as the full scan does (``_engine.scan`` /
+``scan_min``; the bound, its rounding allowance and the inputs where the
+full scan runs instead are stated there), so the exhaustive results equal
+the full scan, and ``oracle.brute_sup_selections``, bit for bit, and so do
+the grid ones.  ``SupResult.trees`` and ``InfResult.trees`` count the spot
+trees the engine valued, and ``SupResult.combinations`` the selections or
+grid combinations checked against ``SELECTION_CAP``; a grid with more
+than ``SELECTION_CAP`` pairs per step is refused before it is built.
 """
 
 from __future__ import annotations
@@ -266,6 +269,7 @@ class SupResult:
     provenance: str
     gap_bound: float | None = None
     trees: int = 0          # spot trees the engine valued
+    combinations: int = 0   # selections or grid combinations, as capped
 
 
 @dataclass(frozen=True)
@@ -278,7 +282,34 @@ class InfResult:
 
 # -- searches --------------------------------------------------------------
 
+def _grid_sides(config: SearchConfig) -> tuple[int, int]:
+    """The numbers of negative and of positive points of the grid
+    ``np.linspace(lo, hi, grid_points)``, found by bisection on numpy's
+    formula for its points (``i * step + lo``, the last one ``hi``, an
+    ascending sequence) without building the grid."""
+    lo, hi = config.eps_range
+    n = config.grid_points
+    step = (hi - lo) / (n - 1)
+
+    def first(beyond) -> int:
+        """The first index whose point is ``beyond`` 0."""
+        a, b = 0, n - 1                # the last point, hi, is positive
+        while a < b:
+            mid = (a + b) // 2
+            point = (mid * step if step else mid / (n - 1) * (hi - lo)) + lo
+            a, b = (a, mid) if beyond(point) else (mid + 1, b)
+        return a
+
+    return first(lambda x: x >= 0.0), n - first(lambda x: x > 0.0)
+
+
 def _grid_candidates(model: EvolutionModel, config: SearchConfig):
+    """Each step's down candidates (ascending) and up candidates
+    (descending) of the grid; CapExceededError, before the grid is built,
+    when a step has more than ``SELECTION_CAP`` pairs."""
+    pairs = math.prod(_grid_sides(config))
+    if pairs > SELECTION_CAP:
+        raise CapExceededError(f"{pairs} grid pairs per step exceed cap")
     lo, hi = config.eps_range
     pts = [float(x) for x in np.linspace(lo, hi, config.grid_points)]
     downs = [x for x in pts if x < 0.0]          # ascending: extreme first
@@ -364,7 +395,7 @@ def superhedge_sup(model: EvolutionModel, payoff: Payoff,
     if config.mode == "discrete_exhaustive":
         atoms_dn, atoms_up, dn_cands, up_cands = _exhaustive_candidates(model)
         value, pairs, trees = _engine.scan(model, dn_cands, up_cands, payoff,
-                                           atoms_dn, atoms_up, prune=True)
+                                           atoms_dn, atoms_up)
         selection = AtomPairSelection(tuple(
             (atoms_dn[st][pairs[st][0]], atoms_up[st][pairs[st][1]])
             for st in range(n)))
@@ -372,7 +403,9 @@ def superhedge_sup(model: EvolutionModel, payoff: Payoff,
                            up_cands[st][pairs[st][1]]) for st in range(n))
         return SupResult(value, selection, eps_pairs, config.mode,
                          "exact maximum over model-atom selections",
-                         trees=trees)
+                         trees=trees, combinations=math.prod(
+                             len(d) * len(u)
+                             for d, u in zip(dn_cands, up_cands)))
 
     if payoff.kind == "table":
         raise ValidationError("path-table payoffs require model atoms")
@@ -396,7 +429,7 @@ def superhedge_sup(model: EvolutionModel, payoff: Payoff,
     provenance = (f"{how}; search value underestimates the analytic "
                   f"supremum by at most {gap:.3e}")
     return SupResult(value, None, eps_pairs, config.mode, provenance,
-                     gap_bound=gap, trees=trees)
+                     gap_bound=gap, trees=trees, combinations=combos)
 
 
 def superhedge_inf(model: EvolutionModel, payoff: Payoff,
@@ -412,7 +445,7 @@ def superhedge_inf(model: EvolutionModel, payoff: Payoff,
     if config.mode == "discrete_exhaustive":
         atoms_dn, atoms_up, dn_cands, up_cands = _exhaustive_candidates(model)
         worst, trees = _engine.scan_min(model, dn_cands, up_cands, payoff,
-                                        atoms_dn, atoms_up, prune=True)
+                                        atoms_dn, atoms_up)
     else:
         if payoff.kind == "table":
             raise ValidationError("path-table payoffs require model atoms")

@@ -106,6 +106,29 @@ class TestPrice:
         assert stats["selections"] == 4096
         assert 1 <= stats["trees"] < 100
 
+    def test_grid_stats(self, model_file, tmp_path):
+        # 144 pairs per step of the 25-point grid, 20,736 combinations: the
+        # bound keeps one first-step pair, so a few hundred trees at most
+        out = tmp_path / "grid.json"
+        assert main(["price", "--model", model_file, "--payoff", "put",
+                     "--strike", "110", "--method", "grid",
+                     "--grid-points", "25", "--out", str(out)]) == 0
+        stats = json.loads(out.read_text())["stats"]
+        assert stats["combinations"] == 144 ** 2
+        assert 1 <= stats["trees"] <= 200
+
+    def test_grid_cap_exit_code(self, model_file, capsys):
+        # 2,830 points: 1,415 x 1,415 = 2,002,225 pairs per step, just
+        # above the cap; refused before the grid is built, as is a grid
+        # that could not be built at all
+        for points in ("2830", str(10 ** 12)):
+            assert main(["price", "--model", model_file, "--payoff", "put",
+                         "--strike", "110", "--method", "grid",
+                         "--grid-points", points]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "grid pairs per step exceed cap" in err
+
     def test_cap_exit_code(self, tmp_path):
         big = dict(TWO_STEP)
         big["steps"] = TWO_STEP["steps"] * 12  # 2^24 tree branches

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from superhedge import (CapExceededError, EvolutionModel, Payoff,
@@ -10,6 +11,7 @@ from superhedge import (CapExceededError, EvolutionModel, Payoff,
                         non_arbitrage_interval, payoff_bounds_bounded,
                         payoff_bounds_sublinear, spot_expectation,
                         superhedge_inf, superhedge_sup)
+from superhedge import pricing
 from superhedge.measures import all_selections
 from superhedge.oracle import brute_sup_selections
 
@@ -138,6 +140,35 @@ class TestSuperhedgeSup:
                              SearchConfig(mode="grid"))
         # the sup is attained exactly here, so allow ulp-level rounding
         assert res.value <= closed_form_call(100.0, (0.5,), 30.0) + 1e-12 * 100.0
+
+    def test_grid_pairs_capped_before_the_grid_is_built(self, monkeypatch):
+        # 2,829 points: 1,414 x 1,414 = 1,999,396 pairs per step, within
+        # the cap; 2,830 points: 1,415 x 1,415 = 2,002,225, above it
+        assert pricing._grid_sides(
+            SearchConfig(mode="grid", grid_points=2829)) == (1414, 1414)
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(pricing.np, "linspace", no_grid)
+        m = chain_model(100.0, (0.5,), 2.5, 0.7)
+        hump = Payoff.piecewise_linear([(0.0, 0.0), (100.0, 50.0),
+                                        (200.0, 0.0)], 0.0)
+        for points in (2830, 10 ** 12):
+            config = SearchConfig(mode="grid", grid_points=points)
+            for search in (superhedge_sup, superhedge_inf):
+                with pytest.raises(CapExceededError,
+                                   match="grid pairs per step"):
+                    search(m, hump, config)
+
+    def test_grid_sides_match_the_grid(self):
+        for lo, hi in ((-12.0, 12.0), (-10.0, 10.0), (-0.1, 7.3),
+                       (-1e-300, 1e300), (-3.0, 1e-3)):
+            for points in (3, 4, 25, 49, 50, 999, 1000):
+                grid = np.linspace(lo, hi, points)
+                assert pricing._grid_sides(SearchConfig(
+                    mode="grid", eps_range=(lo, hi), grid_points=points)) \
+                    == ((grid < 0).sum(), (grid > 0).sum())
 
     def test_table_payoff_discrete_only(self):
         m = two_point_model(100.0, 0.5, 1.0, 0.7)
