@@ -64,10 +64,10 @@ each other are all valued, since only their last bits decide the first
 argmax, so a claim whose selections tie (a linear claim) gains nothing,
 and a batch whose bounds dropped nothing grows its subtree without them.
 The full scan runs only where ``_Search.start`` declines: one block holds
-the whole scan, a tree has more than ``CHUNK_LEAVES`` leaves, the
-candidate grid has more than ``GRID_LEAVES`` leaves, or the bound holds a
-non-finite exponential, price or value or a negative payoff or raises
-(the full scan then raises its own error).
+the whole scan or it has one step, a tree has more than ``CHUNK_LEAVES``
+leaves, the candidate grid has more than ``GRID_LEAVES`` leaves, or the
+bound holds a non-finite exponential, price or value or a negative payoff
+or raises (the full scan then raises its own error).
 """
 
 from __future__ import annotations
@@ -1034,18 +1034,19 @@ class _Search:
         self.best_at = None
         self.incumbent = self.best
         self.trees = 0
-        self.made = {}      # (level, lo, hi) -> (columns, shared branch)
+        self.whole = {}     # level -> (columns, shared branch)
 
     @classmethod
     def start(cls, m: _Model, pay: _Payoff, plan: _Plan,
               maximize: bool) -> "_Search | None":
         """The pruned scan, or None where the full scan runs instead: when
-        the scan fits in one block (nothing to skip), a tree has more than
-        ``CHUNK_LEAVES`` leaves (rows are held whole), the grid has more
-        than ``GRID_LEAVES`` leaves, or the bound is not ``ok`` or raises
-        (the full scan then raises its own error)."""
+        the scan fits in one block or has one step (nothing to skip: a
+        one-step scan's children are trees, all valued), a tree has more
+        than ``CHUNK_LEAVES`` leaves (rows are held whole), the grid has
+        more than ``GRID_LEAVES`` leaves, or the bound is not ``ok`` or
+        raises (the full scan then raises its own error)."""
         leaves = 2 ** m.n
-        if leaves > CHUNK_LEAVES \
+        if m.n == 1 or leaves > CHUNK_LEAVES \
                 or math.prod(plan.pairs) * leaves <= CHUNK_LEAVES \
                 or math.prod(len(d) + len(u)
                              for d, u in zip(plan.dn, plan.up)) > GRID_LEAVES:
@@ -1063,7 +1064,7 @@ class _Search:
         m, pay = self.m, self.pay
         root = _Prefixes(_root(m, pay.want_psum, pay.want_paths,
                                self.plan.with_atoms),
-                         np.zeros((1, 1), dtype=np.int32) if m.n > 1 else None)
+                         np.zeros((1, 1), dtype=np.int32))
         with np.errstate(all="ignore"):
             self.incumbent = self.bound.greedy()
             self.trees = 1
@@ -1087,18 +1088,22 @@ class _Search:
     def _branch(self, batch: _Prefixes, level: int, lo: int, hi: int):
         """The branch of every (row, pair) child for pairs ``lo:hi``, and
         the pairs' down and up candidates (the columns of a grid node's
-        children), both made once per level and pair range.  Where the
-        rows' nodes share one volatility (the root, a constant one) the
-        branch is the grid's (``_Bound.branch``)."""
+        children).  Where the rows' nodes share one volatility (the root,
+        a constant one) the branch is the grid's (``_Bound.branch``).  Both
+        are kept for a level's whole range of pairs, which every batch of
+        a level that is not cut into chunks of pairs asks for."""
         nodes, plan = batch.nodes, self.plan
-        key = (level, lo, min(hi, plan.pairs[level]))
-        got = self.made.get(key)
+        hi = min(hi, plan.pairs[level])
+        whole = lo == 0 and hi == plan.pairs[level]
+        got = self.whole.get(level) if whole else None
         if got is None:
-            i, j = np.divmod(np.arange(*key[1:], dtype=np.int32),
+            i, j = np.divmod(np.arange(lo, hi, dtype=np.int32),
                              plan.n_up[level])
             cols = (i, j + self.bound.n_down[level])
-            got = self.made[key] = (cols, self.bound.branch(level, cols)
-                                    if nodes.sigma.shape == (1, 1) else None)
+            got = (cols, self.bound.branch(level, cols)
+                   if nodes.sigma.shape == (1, 1) else None)
+            if whole:
+                self.whole[level] = got
         cols, br = got
         if br is None:
             br = _Branch(nodes, plan.eps_d[level][:, lo:hi],

@@ -189,7 +189,8 @@ class TestTies:
                 with full_scan():
                     full = scans(m, payoff, twice)
                 one_tree_blocks(monkeypatch, m)
-                assert pruned(m, payoff, twice)
+                # a one-step scan has nothing to skip
+                assert pruned(m, payoff, twice) == (m.n_steps > 1)
                 got = scans(m, payoff, twice)
                 monkeypatch.undo()
                 assert got == full
