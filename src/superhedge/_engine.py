@@ -20,12 +20,15 @@ spell its path.  ``value`` evaluates one tree given by its shocks.
 combination of per-step candidate pairs in lexicographic order (step 0
 most significant, down candidate the major index within a step); rows
 that share a prefix share its nodes.  ``max_drift`` gives the largest
-relative one-step drift over the nodes of the tree ``value`` evaluates,
-grown by the same ``_Branch`` and ``_grow``.  It walks a block of trees at
-once, every selection of the model's candidate pairs that shares the
-call's pairs above a level, as the rows of one batch; it keeps the block's
-outcomes on the model, so a sweep over the selections pays one walk per
-block.
+relative one-step drift over the nodes of the tree ``value`` evaluates, in
+the same floats.  A node's drift depends only on its history and the pair
+of its level, so it is computed once per (history, pair) on a grid of
+every history of the candidate atoms (``_DriftGrid``, whose forward pass
+``_histories`` is also ``_Bound``'s), and a selection gathers its nodes
+from the grid.  A call reads the outcomes of a block, every selection of
+the model's candidate pairs that shares the call's pairs above a level,
+and keeps block and grid on the model: a sweep over the selections builds
+the model's grid once and gathers one block at a time.
 
 Results are bit-identical to a depth-first scalar walk (``oracle``
 re-derives them leaf by leaf) because:
@@ -43,12 +46,13 @@ re-derives them leaf by leaf) because:
   some inputs).
 
 Work is cut into blocks of at most ``CHUNK_LEAVES`` leaves (for drifts,
-nodes of the last level that has drifts, the leaves' parents), so memory
-stays flat however many trees a scan covers and however deep a tree is: a
-tree with more leaves is grown whole down to the split level, whose nodes
-each root ``CHUNK_LEAVES`` leaves (``_split_level``), and below it one
-node's subtree at a time, in depth-first order, adding into the same
-running sums (for drifts, the same running maximum).
+(node, pair) cells of the last level that has drifts, the leaves'
+parents), so memory stays flat however many trees a scan covers and
+however deep a tree is: a tree with more leaves is grown whole down to the
+split level, whose nodes each root ``CHUNK_LEAVES`` leaves
+(``_split_level``), and below it one node's subtree at a time, in
+depth-first order, adding into the same running sums (for drifts, a grid
+per subtree and the same running maximum).
 
 ``scan`` and ``scan_min`` (every sup and inf scan of ``pricing``:
 exhaustive, grid and coordinate ascent) skip the combinations that cannot
@@ -204,7 +208,7 @@ class _Branch:
     """Exponentials and branch weights of every (node, pair) at one level,
     shaped ``[rows | 1, pairs, nodes | 1]``.  Where a node's two
     exponentials are equal its weights are 0 / 0: a tree walk raises there
-    if the node is live (``checked``), the drift check at every node."""
+    if the node is live (``checked``)."""
 
     __slots__ = ("ed", "eu", "psi_d", "psi_u")
 
@@ -454,30 +458,142 @@ def _outcomes(top, equal, zero) -> tuple:
     return tuple(out)
 
 
+# -- history grids ---------------------------------------------------------
+
+def _histories(m: _Model, eps, price=None, sigma=None,
+               first: int = 0) -> Iterator[tuple]:
+    """The forward pass over every history of per-level candidate atoms,
+    for ``_Bound``'s grid and the drift grid.  ``eps[i]`` holds the atoms
+    of level ``first + i`` (a 1-D array), ``price`` / ``sigma`` the
+    histories at level ``first`` (the root when None).  Yields, per level,
+    the node prices ``[G]``, volatilities (``[1]`` for a constant law) and
+    exponentials ``[G | 1, c]``, a child's history index being its
+    parent's times ``c`` plus its atom's; after the last level, the
+    children's prices and volatilities (None at the leaves) with None.
+    The engine's own arithmetic (``_exp``, ``_moved``, ``next_sigmas``),
+    so every float is a tree walk's bit for bit."""
+    if price is None:
+        price = np.array([m.s0])
+        sigma = np.array([m.vols[0].initial_sigma()])
+    for k, x in enumerate(eps, first):
+        args = sigma[:, None] * x
+        e = _exp(args.ravel()).reshape(args.shape)
+        yield price, sigma, e
+        grown = _moved(price[:, None], e, m.a[k])          # [G, c]
+        if k + 1 == m.n:
+            sigma = None
+        else:
+            vol = m.vols[k + 1]
+            sigma = (np.array([vol.sigma]) if vol.kind == "constant"
+                     else np.broadcast_to(vol.next_sigmas(
+                         sigma[:, None], args), grown.shape).ravel())
+        price = grown.ravel()
+    yield price, sigma, None
+
+
+def _pair_atoms(cands) -> tuple[list, list]:
+    """A level's atoms for candidate pairs ``cands`` ((eps_d, eps_u)
+    tuples): their distinct down shocks, then their distinct up shocks,
+    and each pair's (down, up) atom column."""
+    downs = list(dict.fromkeys(d for d, _ in cands))
+    ups = list(dict.fromkeys(u for _, u in cands))
+    col_d = {d: i for i, d in enumerate(downs)}
+    col_u = {u: i for i, u in enumerate(ups, len(downs))}
+    return downs + ups, [(col_d[d], col_u[u]) for d, u in cands]
+
+
+class _DriftGrid:
+    """The drift inputs of every history of the candidate pairs ``cands``
+    (per level from ``first``, a tuple of (eps_d, eps_u)), the histories
+    being ``_histories``' over each level's ``_pair_atoms``.  Per level:
+    the ratio |psi_d S a (e_d - 1) + psi_u S a (e_u - 1)| / S and the
+    equal-exponential flag of every (history, pair), ``[G, pairs]``, and
+    the zero-price flag of every history.  The weights are
+    ``_branch_weights``', and a saturated up branch, weight 0, adds no
+    drift.  Where the grid ends above the leaves, ``price`` and ``sigma``
+    hold the histories of the next level.  Never written once built."""
+
+    __slots__ = ("cands", "cols", "width", "ratio", "equal", "zero",
+                 "price", "sigma")
+
+    def __init__(self, m: _Model, cands, first: int = 0, price=None,
+                 sigma=None):
+        self.cands = cands
+        atoms, self.cols = [], []
+        for c in cands:
+            at, cols = _pair_atoms(c)
+            atoms.append(np.array(at, dtype=float))
+            self.cols.append(np.array(cols, dtype=np.intp))
+        self.width = [at.size for at in atoms]
+        self.ratio, self.equal, self.zero = [], [], []
+        self.price = self.sigma = None
+        below = first + len(cands) < m.n      # the grid ends above the leaves
+        levels = itertools.islice(_histories(m, atoms, price, sigma, first),
+                                  len(cands) + below)
+        for k, (price, sigma, e) in enumerate(levels, first):
+            if e is None:
+                self.price = price
+                self.sigma = np.broadcast_to(sigma, price.shape)
+                break
+            cols = self.cols[k - first]
+            ed, eu = e[:, cols[:, 0]], e[:, cols[:, 1]]
+            psi_d, psi_u = _branch_weights(ed, eu)
+            s = price[:, None]
+            pa = s * m.a[k]
+            ratio = np.abs(psi_d * (pa * (ed - 1.0)) + np.where(
+                eu == _INF, 0.0, psi_u * (pa * (eu - 1.0)))) / s
+            self.ratio.append(ratio)
+            self.equal.append(np.broadcast_to(ed == eu, ratio.shape))
+            self.zero.append(price == 0.0)
+
+    def reduce(self, picks) -> tuple:
+        """Per completion of the tree below the grid's first history, level
+        ``i`` taking each pair of ``picks[i]`` (an index array; every pair
+        when None), in mixed radix, the first level most significant: the
+        running maximum of its nodes' ratios (``fmax`` from 0.0, so NaN
+        never wins), and whether a node has equal exponentials, or price
+        0.  Each completion gathers its nodes' history indices."""
+        hidx = np.zeros((1, 1), dtype=np.intp)          # [rows, nodes]
+        top = np.zeros(1)
+        equal = zero = np.zeros(1, dtype=bool)
+        for i, pick in enumerate(picks):
+            ratio, eq, cols = self.ratio[i], self.equal[i], self.cols[i]
+            if pick is not None:
+                ratio, eq, cols = ratio[:, pick], eq[:, pick], cols[pick]
+            top = np.maximum(top[:, None], np.fmax.reduce(
+                ratio[hidx], axis=1, initial=0.0)).ravel()
+            equal = (equal[:, None] | eq[hidx].any(axis=1)).ravel()
+            zero = np.repeat(zero | self.zero[i][hidx].any(axis=1),
+                             len(cols))
+            if i + 1 < len(picks):
+                hidx = (hidx[:, None, :, None] * self.width[i]
+                        + cols[:, None, :]).reshape(top.size, -1)
+        return top, equal, zero
+
+
+# -- the drift check -------------------------------------------------------
+
 class _DriftBlock:
     """The drift outcomes of every selection whose pairs above ``level``
-    are ``prefix``: one per completion below ``level`` in ``where`` (per
-    level, pair -> candidate index).  Never written once built."""
+    are ``prefix``: one per completion below ``level``, ``where`` mapping
+    its pairs to its index, and the grid they were read from (None for a
+    tree of more than ``CHUNK_LEAVES`` leaves).  Never written once
+    built."""
 
-    __slots__ = ("level", "prefix", "where", "outcomes")
+    __slots__ = ("level", "prefix", "where", "outcomes", "grid")
 
-    def __init__(self, level, prefix, where, outcomes):
+    def __init__(self, level, prefix, where, outcomes, grid):
         self.level = level
         self.prefix = prefix
         self.where = where
         self.outcomes = outcomes
+        self.grid = grid
 
     def find(self, pairs) -> int | None:
         """The completion index of ``pairs``, or None outside the block."""
         if pairs[:self.level] != self.prefix:
             return None
-        i = 0
-        for index, pair in zip(self.where, pairs[self.level:]):
-            j = index.get(pair)
-            if j is None:
-                return None
-            i = i * len(index) + j
-        return i
+        return self.where.get(pairs[self.level:])
 
 
 def _block_level(counts) -> int:
@@ -493,94 +609,92 @@ def _block_level(counts) -> int:
     return 0
 
 
-def _drift_block(model, pairs) -> _DriftBlock:
-    """The block of ``pairs``: one walk over every candidate pair
-    (``EvolutionModel.spot_pairs``, as ``all_selections`` reads them) below
-    the block level, and the call's own pairs above it.  A level whose
-    candidates miss the call's pair takes that pair alone.  A tree of more
-    than ``CHUNK_LEAVES`` leaves is a block of one selection.  The trees
-    grow as ``value``'s do (``_leaf_blocks``), and each level adds, per
-    completion (``_grow``'s rows, mixed radix), its largest drift ratio and
-    whether a node, pruned or not, has equal exponentials or price 0 to the
-    running ones of its part of the walk: the whole tree, or the levels
-    above the split level and then each subtree below it.  The first
-    failing part decides."""
-    m = _Model(model)
-    cands = []
-    for k, step in enumerate(model.steps):
-        c = tuple((step.shocks[d].eps, step.shocks[u].eps)
-                  for d, u in model.spot_pairs(k + 1))
-        cands.append(c if pairs[k] in c else (pairs[k],))
-    split = _split_level(m.n)
-    level = m.n if split else _block_level([len(c) for c in cands])
-    eps = [np.array(c, dtype=float).T[:, None]          # [2, 1, pairs]
-           for c in [(p,) for p in pairs[:level]] + cands[level:]]
-    parts = []                 # (top, equal, zero) of each part
+def _split_outcome(m: _Model, pairs, split: int):
+    """The outcome of one tree of more than ``CHUNK_LEAVES`` leaves, read
+    in parts so that memory stays flat: a grid of its levels above
+    ``split``, then one per subtree below it, in depth-first order.  The
+    first failing part decides, and no later part is built."""
+    own = tuple((p,) for p in pairs)
 
-    def grow(nodes, k):
-        eps_d, eps_u = eps[k]
-        br = _Branch(nodes, eps_d, eps_u)
-        s = nodes.price[:, None, :]
-        pa = s * m.a[k]
-        # a saturated up branch has weight 0 and adds no drift, not 0 * inf
-        ratio = np.abs(br.psi_d * (pa * (br.ed - 1.0)) + np.where(
-            br.eu == _INF, 0.0, br.psi_u * (pa * (br.eu - 1.0)))) / s
-        if k in (0, split):    # the root or a subtree's root
-            parts.append((np.zeros(1),) + (np.zeros(1, dtype=bool),) * 2)
-        top, equal, zero = parts[-1]
-        shape = ratio.shape[:2]                       # [rows, pairs]
-        parts[-1] = (
-            np.maximum(top[:, None], np.fmax.reduce(
-                ratio, axis=2, initial=0.0)).ravel(),
-            np.broadcast_to(equal[:, None] | (br.ed == br.eu).any(axis=2),
-                            shape).ravel(),
-            np.broadcast_to(zero[:, None] | (s == 0.0).any(axis=2),
-                            shape).ravel())
-        if k + 1 == m.n:       # the leaves have no drift
-            return nodes
-        return _grow(m, k, nodes, br, eps_d, eps_u, None, None)
+    def parts():
+        top = _DriftGrid(m, own[:split])
+        yield top.reduce([None] * split)
+        for j in range(top.price.size):
+            yield _DriftGrid(m, own[split:], split, top.price[j:j + 1],
+                             top.sigma[j:j + 1]).reduce([None] * (m.n - split))
 
-    for _ in _leaf_blocks(m, _root(m, False, False, False), grow):
-        if any(equal.any() or zero.any() for _, equal, zero in parts):
-            break              # a failing part decides: no further subtree
-    top = np.zeros(1)
-    for t, equal, zero in parts:
-        top = np.maximum(top, t)
-        outcomes = _outcomes(top, equal, zero)
+    worst = np.zeros(1)
+    for top, equal, zero in parts():
+        worst = np.maximum(worst, top)
+        outcomes = _outcomes(worst, equal, zero)
         if isinstance(outcomes[0], str):
             break
-    where = tuple({p: j for j, p in enumerate(c)} for c in cands[level:])
-    return _DriftBlock(level, pairs[:level], where, outcomes)
+    return outcomes
 
 
-def max_drift(model, eps_dn, eps_up) -> float:
+def _drift_block(model, pairs, last) -> _DriftBlock:
+    """The block of ``pairs``, read from a history grid (``_DriftGrid``).
+    The candidates are the model's spot pairs (``_pair_eps``, as
+    ``all_selections`` reads them); a level whose candidates miss the
+    call's pair takes that pair alone.  The block level is
+    ``_block_level``'s.  The grid spans every candidate when the call's
+    pairs are all candidates and its last drift level holds at most
+    ``CHUNK_LEAVES`` (history, pair) cells, the budget of one block;
+    otherwise only the block's own: the call's pairs above the block level
+    and the candidates below it.  ``last``'s grid is read again when its
+    candidates are the same.  A tree of more than ``CHUNK_LEAVES`` leaves
+    is a block of one selection (``_split_outcome``)."""
+    m = _Model(model)
+    split = _split_level(m.n)
+    if split:
+        return _DriftBlock(m.n, pairs, {(): 0},
+                           _split_outcome(m, pairs, split), None)
+    full = tuple(tuple(t.values()) for t in model._pair_eps)
+    own = [c if p in c else (p,) for c, p in zip(full, pairs)]
+    level = _block_level([len(c) for c in own])
+    whole = all(c is f for c, f in zip(own, full)) and len(full[-1]) \
+        * math.prod(len(_pair_atoms(c)[0]) for c in full[:-1]) <= CHUNK_LEAVES
+    cands = full if whole else tuple(
+        (p,) for p in pairs[:level]) + tuple(own[level:])
+    grid = None if last is None else last.grid
+    if grid is None or grid.cands != cands:
+        grid = _DriftGrid(m, cands)
+    picks = [np.array([cands[k].index(p)]) if whole else None
+             for k, p in enumerate(pairs[:level])] + [None] * (m.n - level)
+    where = {c: i for i, c in enumerate(itertools.product(*cands[level:]))}
+    return _DriftBlock(level, pairs[:level], where,
+                       _outcomes(*grid.reduce(picks)), grid)
+
+
+def max_drift(model, pairs) -> float:
     """Largest |conditional one-step drift| / node price over the nodes of
-    one spot tree (``eps_dn`` / ``eps_up``: its shock pair per step), every
-    node, pruned or not.  The tree is the one ``value`` evaluates, grown by
-    the same ``_Branch`` and ``_grow``: exponentials saturate to inf, a
-    saturated up branch has the limit weights (1, 0) and a drift of
+    one spot tree (``pairs``: a tuple of its (eps_dn, eps_up) shock pairs,
+    one per step), every node, pruned or not.  The tree is the one ``value`` evaluates, in the
+    same floats: exponentials saturate to inf, a saturated up branch has
+    the limit weights (1, 0) and a drift of
     psi_down * S * a * (e^{sigma*eps_dn} - 1), and NaN ratios (below an
     infinite price) never win.  ZeroDivisionError where a node's two
     exponentials are equal (a zero weight denominator) or its price is 0,
-    equal exponentials first in the first failing part of the walk (the
+    equal exponentials first in the first failing part of the tree (the
     whole tree, or with more than ``CHUNK_LEAVES`` leaves the levels above
     the split level, then each subtree below it in depth-first order).
 
-    Level ``k`` depends only on the pairs above it, so one walk serves a
-    block: every selection that shares the call's pairs above the block
-    level L, the first level whose completions below it, times a tree's
-    ``2**(N - 1)`` nodes at its last drift level, fit in ``CHUNK_LEAVES``
-    (a tree of more leaves is a block of one selection).  The walk records
-    each completion's outcome; ``model._drift_tree`` keeps the block, and a
-    later call in it computes a mixed-radix index and reads its outcome.
-    Read once and replaced by one assignment, never written, the block is
-    safe across threads."""
-    pairs = tuple(zip(eps_dn, eps_up))
+    A node's drift depends only on its history and the pair of its level,
+    so the ratios and flags are computed once per (history, pair) on a
+    grid (``_DriftGrid``), and a selection gathers its 2**k nodes per
+    level.  One call reads a block: every selection that shares the
+    call's pairs above the block level L, the first level whose
+    completions below it, times a tree's ``2**(N - 1)`` nodes at its last
+    drift level, fit in ``CHUNK_LEAVES`` (a tree of more leaves is a block
+    of one selection).  ``model._drift_tree`` keeps the block with its
+    grid; a later call in it looks up its outcome, and a later block on
+    the same candidates reads the same grid (``_drift_block``).  Read once and replaced by one assignment, never
+    written, block and grid are safe across threads."""
     block = model._drift_tree
     i = None if block is None else block.find(pairs)
     if i is None:
         with np.errstate(all="ignore"):
-            block = _drift_block(model, pairs)
+            block = _drift_block(model, pairs, block)
         # the dataclass is frozen: fill the cached_property's slot
         object.__setattr__(model, "_drift_tree", block)
         i = block.find(pairs)
@@ -770,9 +884,9 @@ class _Bound:
     The grid holds every history of the scan's candidate atoms (each
     step's down candidates, then its up candidates; a history's index in
     its level is row-major, step 0 most significant).  Its node prices,
-    volatilities, exponentials, weights and leaf payoffs are the engine's
-    own arithmetic (``_moved``, ``VolatilitySpec.next_sigmas``, ``_exp``,
-    ``_branch_weights``, ``_payoffs``), so at every history they equal
+    volatilities and exponentials come from the forward pass
+    ``_histories``, and its weights and leaf payoffs from
+    ``_branch_weights`` and ``_payoffs``, so at every history they equal
     the engine's floats bit for bit.  Backward induction gives
     V_N = payoff and V_k(h) = max (min) over the step's candidate pairs of
     psi_d * V_{k+1}(h d) + psi_u * V_{k+1}(h u): the price of the best
@@ -835,29 +949,27 @@ class _Bound:
         n = m.n
         dn_cands, up_cands = plan.dn, plan.up
         atoms_dn, atoms_up = plan.atoms_dn, plan.atoms_up
-        price = np.array([m.s0])
-        sigma = np.array([m.vols[0].initial_sigma()])
+        levels = _histories(m, [np.asarray(list(d) + list(u), dtype=float)
+                                for d, u in zip(dn_cands, up_cands)])
+        price, _, e = next(levels)
         psum = price if pay.want_psum else None
         hist = price[:, None] if pay.want_paths else None
         codes = np.zeros(1, dtype=m.code_dtype) if plan.with_atoms else None
         self.n_down, self.width, self.e, self.psi = [], [], [], []
         self.maximize, self.ok = maximize, False
         for k in range(n):
-            nd = len(dn_cands[k])
-            eps = np.asarray(list(dn_cands[k]) + list(up_cands[k]),
-                             dtype=float)
-            args = sigma[:, None] * eps
-            e = _exp(args.ravel()).reshape(args.shape)
             if not np.isfinite(e).all():
                 return
+            nd = len(dn_cands[k])
             # a weight of 0 / 0 (equal exponentials) is NaN, and so are the
             # V above it: the check of the V's below refuses it
             psi = _branch_weights(e[:, :nd, None], e[:, None, nd:])
             self.n_down.append(nd)
-            self.width.append(eps.size)
+            self.width.append(e.shape[1])
             self.e.append(e)
             self.psi.append(psi)
-            grown = _moved(price[:, None], e, m.a[k])          # [G, c]
+            price, _, next_e = next(levels)
+            grown = price.reshape(-1, e.shape[1])              # [G, c]
             if psum is not None:
                 psum = (psum[:, None] + grown).ravel()
             if hist is not None:
@@ -869,12 +981,7 @@ class _Bound:
                 cand = np.asarray(list(atoms_dn[k]) + list(atoms_up[k]),
                                   dtype=m.code_dtype)
                 codes = (codes[:, None] * m.radix[k] + cand).ravel()
-            if k + 1 < n:
-                vol = m.vols[k + 1]
-                sigma = (np.array([vol.sigma]) if vol.kind == "constant"
-                         else np.broadcast_to(vol.next_sigmas(
-                             sigma[:, None], args), grown.shape).ravel())
-            price = grown.ravel()
+            e = next_e
         if not np.isfinite(price).all():   # an infinite price stays so
             return
         leaves = _Nodes(price[None], None, None if psum is None

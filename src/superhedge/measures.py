@@ -158,16 +158,28 @@ class AtomPairSelection:
 
 def validate_selection(model: EvolutionModel,
                        selection: AtomPairSelection) -> None:
-    _selection_eps(model, selection)
+    _selection_shocks(model, selection)
 
 
-def _selection_eps(model: EvolutionModel,
-                   selection: AtomPairSelection) -> tuple[list, list]:
+def _selection_shocks(model: EvolutionModel, selection: AtomPairSelection
+                      ) -> tuple[tuple[float, float], ...]:
     """The selection's (down eps, up eps) per step, checked in the same
-    pass: one pair per step, in range, down eps < 0 < up eps."""
+    pass: one pair per step, in range, down eps < 0 < up eps.  A selection
+    whose pairs are all keys of the model's pair table (``_pair_eps``) is
+    valid by construction; any other takes the full check and raises its
+    errors."""
+    table, pairs = model._pair_eps, selection.pairs
+    if len(pairs) == len(table):
+        try:
+            found = tuple(map(dict.__getitem__, table, pairs))
+            # a float equal to an int finds its key, but indexes no atom
+            sum(map(operator.index, itertools.chain.from_iterable(pairs)))
+            return found
+        except (KeyError, TypeError):        # no key, unhashable, no index
+            pass
     if len(selection.pairs) != model.n_steps:
         raise ValidationError("selection length does not match model horizon")
-    eps_dn, eps_up = [], []
+    found = []
     for n, (d, u) in enumerate(selection.pairs, start=1):
         shocks = model.steps[n - 1].shocks
         if not (0 <= d < len(shocks) and 0 <= u < len(shocks)):
@@ -178,9 +190,15 @@ def _selection_eps(model: EvolutionModel,
         if not shocks[u].eps > 0:
             raise ValidationError(
                 f"up atom at step {n} must have eps > 0, got {shocks[u].eps}")
-        eps_dn.append(shocks[d].eps)
-        eps_up.append(shocks[u].eps)
-    return eps_dn, eps_up
+        found.append((shocks[d].eps, shocks[u].eps))
+    return tuple(found)
+
+
+def _selection_eps(model: EvolutionModel,
+                   selection: AtomPairSelection) -> tuple[list, list]:
+    """The selection's down eps and up eps per step, checked."""
+    shocks = _selection_shocks(model, selection)
+    return [d for d, _ in shocks], [u for _, u in shocks]
 
 
 def selection_count(model: EvolutionModel) -> int:
@@ -254,10 +272,10 @@ class SpotMeasure:
     selection: AtomPairSelection
 
     def __post_init__(self):
-        # checked once; the eps lists are kept for every drift call (the
-        # dataclass is frozen, and the lists are not fields)
-        object.__setattr__(self, "_eps",
-                           _selection_eps(self.model, self.selection))
+        # checked once; the shock pairs are kept for every drift call (the
+        # dataclass is frozen, and they are not a field)
+        object.__setattr__(self, "_shocks",
+                           _selection_shocks(self.model, self.selection))
 
     def expectation(self, payoff) -> float:
         return spot_expectation(self.model, self.selection, payoff)
@@ -265,7 +283,7 @@ class SpotMeasure:
     def max_node_drift(self) -> float:
         """Largest |conditional one-step drift| / node price over the tree
         the engine prices (``_engine.max_drift`` states the rule)."""
-        return _engine.max_drift(self.model, *self._eps)
+        return _engine.max_drift(self.model, self._shocks)
 
     def as_density(self) -> "MeasureDensity":
         """Express the spot measure as a density on the full space.

@@ -200,12 +200,24 @@ class EvolutionModel:
     @cached_property
     def _drift_tree(self):
         """The last block ``_engine.max_drift`` built, or None: the pairs
-        above its block level and the drift outcome of every selection
-        below them (``_engine._DriftBlock``; a tree of more than
-        ``_engine.CHUNK_LEAVES`` leaves is a block of one selection).
-        Outcomes only, no tree levels.  Replaced by one assignment, never
-        written; not a field, so equality, hash and repr ignore it."""
+        above its block level, the drift outcome of every selection below
+        them and the history grid they were read from
+        (``_engine._DriftBlock``, ``_engine._DriftGrid``; a tree of more
+        than ``_engine.CHUNK_LEAVES`` leaves is a block of one selection
+        and keeps no grid).  A later block on the same candidates reads
+        the same grid.  Replaced by one assignment, never written; not a
+        field, so equality, hash and repr ignore it."""
         return None
+
+    @cached_property
+    def _pair_eps(self):
+        """Per step, each spot pair ``(d, u)`` of ``spot_pairs`` mapped to
+        its shocks ``(eps_d, eps_u)``, in ``spot_pairs`` order: the pairs a
+        selection may take, valid by construction.  Built once, never
+        written; not a field."""
+        return tuple({(d, u): (step.shocks[d].eps, step.shocks[u].eps)
+                      for d, u in self.spot_pairs(k + 1)}
+                     for k, step in enumerate(self.steps))
 
     def path_count(self) -> int:
         return math.prod(self.atom_counts()) if self.steps else 0

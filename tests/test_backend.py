@@ -245,6 +245,15 @@ class TestDrift:
                          VolatilitySpec.constant(100.0)),) * 2),
             # e^{sigma*eps} rounds to 1 on both branches: 0 / 0 weights
             constant_chain(100.0, [0.5, 0.5], 1e-300, -0.7, 0.7),
+            # price 0 off a level's first node: below the up child sigma is
+            # about 100 and e^{-2000} underflows, below the down child not
+            EvolutionModel(100.0, (
+                StepSpec(0.5, (ShockAtom(-0.5, 0.5), ShockAtom(100.0, 0.5)),
+                         VolatilitySpec.constant(1.0)),
+                StepSpec(1.0, (ShockAtom(-20.0, 0.5), ShockAtom(1.0, 0.5)),
+                         VolatilitySpec.arch1(1.0, 1.0, 0.0)),
+                StepSpec(0.5, (ShockAtom(-0.5, 0.5), ShockAtom(0.5, 0.5)),
+                         VolatilitySpec.constant(1.0)))),
         )
         for m in cases:
             sel = next(all_selections(m))
@@ -556,12 +565,12 @@ class TestDriftBlocks:
                                             ShockAtom(0.07 * k + 0.2, 0.5)))
             for k, st in enumerate(m.steps)))
         sel = next(all_selections(other))
-        eps_dn, eps_up = measures._selection_eps(other, sel)
+        shocks = measures._selection_shocks(other, sel)
         want = walk_drift(other, sel)
-        assert _engine.max_drift(m, eps_dn, eps_up) == want
+        assert _engine.max_drift(m, shocks) == want
         for s in all_selections(m):
             SpotMeasure(m, s).max_node_drift()
-        assert _engine.max_drift(m, eps_dn, eps_up) == want
+        assert _engine.max_drift(m, shocks) == want
 
     @pytest.mark.parametrize("pattern, blocks", [
         ((2, 2, 2, 3, 3, 3, 3), 4), ((2, 3, 3, 4, 4), 1)])
@@ -580,6 +589,53 @@ class TestDriftBlocks:
         for sel in all_selections(m):
             SpotMeasure(m, sel).max_node_drift()
         assert len(built) == blocks
+
+    @pytest.mark.parametrize("chunk, message", [
+        (1 << 14, _engine._EQUAL_EXP), (4, _engine._ZERO_PRICE)])
+    def test_first_failing_subtree_decides(self, monkeypatch, chunk,
+                                           message):
+        # price 0 at level 2 below the down child (sigma = 100, e^{-1000},
+        # a = 1), equal exponentials at the up child (sigma = 1e-20): in
+        # one part equal exponentials win, split below the root the down
+        # child's subtree comes first
+        monkeypatch.setattr(_engine, "CHUNK_LEAVES", chunk)
+        m = EvolutionModel(100.0, (
+            StepSpec(0.5, (ShockAtom(-100.0, 0.5), ShockAtom(1e-20, 0.5)),
+                     VolatilitySpec.constant(1.0)),
+            StepSpec(1.0, (ShockAtom(-10.0, 0.5), ShockAtom(0.5, 0.5)),
+                     VolatilitySpec.arch1(1e-300, 1.0, 0.0)),
+            StepSpec(0.5, (ShockAtom(-0.5, 0.5), ShockAtom(0.5, 0.5)),
+                     VolatilitySpec.constant(1.0))))
+        assert self.check_orders(m, list(all_selections(m))) \
+            == [(ZeroDivisionError, message)]
+
+    def test_sweep_takes_each_exponential_once(self, monkeypatch):
+        # the blocks of a sweep read one grid of the model's histories: at
+        # most one exponential per (history, atom) cell of its spot atoms
+        m = pair_model((2, 2, 2, 3, 3, 3, 3), self.ARCH)
+        args = []
+        exp = _engine._exp
+
+        def counting(x):
+            args.append(x.size)
+            return exp(x)
+
+        monkeypatch.setattr(_engine, "_exp", counting)
+        for sel in all_selections(m):
+            SpotMeasure(m, sel).max_node_drift()
+        atoms = [len(m.strict_down_indices(k)) + len(m.up_indices(k))
+                 for k in range(1, m.n_steps + 1)]
+        cells = sum(math.prod(atoms[:k + 1]) for k in range(m.n_steps))
+        assert sum(args) <= cells
+
+    def test_deep_tree_memory_stays_flat(self):
+        # 2**17 leaves, read in parts of CHUNK_LEAVES leaves: 16 floats per
+        # leaf of a part, where the whole tree at once would take 8 times
+        # more
+        m = arch_chain(17)
+        sel = next(all_selections(m))
+        peak = TestDeepTrees._peak(lambda: SpotMeasure(m, sel).max_node_drift())
+        assert peak < 16 * 8 * _engine.CHUNK_LEAVES
 
 
 class TestDeepTrees:

@@ -187,6 +187,39 @@ class TestSpotMeasures:
         m = two_point_model(100.0, 0.5, 1.0, 0.7)
         with pytest.raises(ValidationError):
             SpotMeasure(m, AtomPairSelection(((1, 1),)))
+        # atoms 0 (eps -0.7) and 1 (eps 0.7) at both steps
+        m = chain_model(100.0, (0.5, 0.5), 1.0, 0.7)
+        for pairs, error, message in (
+                (((0, 1),), ValidationError,
+                 "selection length does not match model horizon"),
+                (((0, 1),) * 3, ValidationError,
+                 "selection length does not match model horizon"),
+                (((0, 1), (0, 2)), ValidationError,
+                 "selection indices out of range at step 2"),
+                (((0, 1), (-1, 1)), ValidationError,
+                 "selection indices out of range at step 2"),
+                (((0, 5), (0, 1.0)), ValidationError,
+                 "selection indices out of range at step 1"),
+                (((1, 1), (0, 1)), ValidationError,
+                 "down atom at step 1 must have eps < 0, got 0.7"),
+                (((0, 1), (0, 0)), ValidationError,
+                 "up atom at step 2 must have eps > 0, got -0.7"),
+                # a float equal to an index finds a pair, but indexes nothing
+                (((0, 1), (0, 1.0)), TypeError, None),
+                (((0.0, 1), (0, 1)), TypeError, None),
+                (((np.float64(0.0), 1), (0, 1)), TypeError, None)):
+            with pytest.raises(error) as info:
+                SpotMeasure(m, AtomPairSelection(pairs))
+            assert message is None or str(info.value) == message
+        # indices that index an atom pass, as plain ints do
+        want = SpotMeasure(m, AtomPairSelection(((0, 1), (0, 1))))
+        assert want._shocks == ((-0.7, 0.7), (-0.7, 0.7))
+        for pairs in (((False, True), (0, 1)),
+                      ((np.int64(0), np.int64(1)), (0, 1)),
+                      ([0, 1], (0, 1))):
+            spot = SpotMeasure(m, AtomPairSelection(pairs))
+            assert spot._shocks == want._shocks
+            assert spot.max_node_drift() == want.max_node_drift()
 
     def test_spot_tree_value_needs_one_pair_per_step(self):
         m = chain_model(100.0, (0.5, 0.5), 1.0, 0.7)
