@@ -36,7 +36,8 @@ re-derives them leaf by leaf) because:
 * every element goes through the same IEEE operations, in the same order,
   as in the scalar recursion;
 * leaves are summed left to right in depth-first order, one add at a time
-  (column adds or ``np.add.accumulate``; ``np.sum`` adds pairwise);
+  (``_row_sums``: column adds or ``np.add.accumulate``; ``np.sum`` adds
+  pairwise);
 * pruned branches are masked with ``np.where``, so ``0 * inf`` never turns
   into NaN;
 * a maximum takes the first argmax, the strict ``>`` rule of a sequential
@@ -55,18 +56,21 @@ depth-first order, adding into the same running sums (for drifts, a grid
 per subtree and the same running maximum).
 
 ``scan`` and ``scan_min`` (every sup and inf scan of ``pricing``:
-exhaustive, grid and coordinate ascent) skip the combinations that cannot
-win.  ``_Bound`` prices every history of the candidate atoms by backward
+exhaustive, grid and grid mode's coordinate ascent) skip the combinations
+that cannot win.  ``_Bound`` holds every history of the candidate atoms,
+with the engine's weights and leaf payoffs, and prices each by backward
 induction, choosing the best pair at each node (Föllmer & Schied,
 *Stochastic Finance*): an upper (lower) price of every selection below a
-prefix.  ``_Search`` walks the full scan's batches in its order and drops
-a prefix whose bound, widened by the rounding allowance eta, delta proved
-in ``_Bound``, cannot reach the best value found (Land & Doig).  Every
-kept combination is valued as in the full scan, so the value, the argmax
-and the tie-breaking are the full scan's bit for bit; values within eta of
-each other are all valued, since only their last bits decide the first
-argmax, so a claim whose selections tie (a linear claim) gains nothing,
-and a batch whose bounds dropped nothing grows its subtree without them.
+history.  ``_Search`` walks the full scan's batches in its order on that
+grid, a row being its nodes' history indices and weights, and drops a
+prefix whose bound, widened by the rounding allowance eta, delta proved
+in ``_Bound``, cannot reach the best value found (Land & Doig).  A kept
+combination's value is the sum of its leaves' weight times payoff in the
+full scan's operations and order, so the value, the argmax and the
+tie-breaking are the full scan's bit for bit; values within eta of each
+other are all valued, since only their last bits decide the first argmax,
+so a claim whose selections tie (a linear claim) gains nothing, and a
+batch whose bounds dropped nothing grows its subtree without them.
 The full scan runs only where ``_Search.start`` declines: one block holds
 the whole scan or it has one step, a tree has more than ``CHUNK_LEAVES``
 leaves, the candidate grid has more than ``GRID_LEAVES`` leaves, or the
@@ -231,22 +235,6 @@ class _Branch:
             raise ZeroDivisionError(_EQUAL_EXP)
         return self
 
-    def pick(self, r: np.ndarray, q: np.ndarray) -> "_Branch":
-        """The entries of (row ``r[i]``, pair ``q[i]``), one pair per row:
-        shaped ``[len(r), 1, nodes | 1]``."""
-        return self._map(lambda x: (x[r, q] if x.shape[0] > 1
-                                    else x[0, q])[:, None])
-
-    def pairs(self, lo: int, hi: int) -> "_Branch":
-        """Pairs ``lo:hi`` of every row."""
-        return self._map(lambda x: x[:, lo:hi])
-
-    def _map(self, cut) -> "_Branch":
-        out = _Branch.__new__(_Branch)
-        for name in self.__slots__:
-            setattr(out, name, cut(getattr(self, name)))
-        return out
-
 
 def _moved(price, e, a: float, out=None) -> np.ndarray:
     """The price step ``price * (1 + a * (e - 1))``, in this operation
@@ -339,12 +327,20 @@ class _Payoff:
 
 def _leaf_values(m: _Model, pay: _Payoff, nodes: _Nodes,
                  acc: np.ndarray | None = None) -> np.ndarray:
-    """Tree value of every row: its leaves' weight * payoff, added left to
-    right in depth-first order to ``acc`` (zeros when None)."""
+    """Tree value of every row: its leaves' weight * payoff, added to
+    ``acc`` as ``_row_sums`` adds them."""
     contrib = _payoffs(m, pay, nodes)
     contrib *= nodes.prob
     if nodes.live is not None:
         contrib[~nodes.live] = 0.0
+    return _row_sums(contrib, acc)
+
+
+def _row_sums(contrib: np.ndarray, acc: np.ndarray | None = None
+              ) -> np.ndarray:
+    """Every row of ``contrib`` added left to right, one add at a time, to
+    ``acc`` (zeros when None): a tree's leaf terms in depth-first order.
+    ``contrib`` may be overwritten."""
     rows, cols = contrib.shape
     if acc is None:
         acc = np.zeros(rows)
@@ -669,9 +665,9 @@ def _drift_block(model, pairs, last) -> _DriftBlock:
 def max_drift(model, pairs) -> float:
     """Largest |conditional one-step drift| / node price over the nodes of
     one spot tree (``pairs``: a tuple of its (eps_dn, eps_up) shock pairs,
-    one per step), every node, pruned or not.  The tree is the one ``value`` evaluates, in the
-    same floats: exponentials saturate to inf, a saturated up branch has
-    the limit weights (1, 0) and a drift of
+    one per step), every node, pruned or not.  The tree is the one
+    ``value`` evaluates, in the same floats: exponentials saturate to inf,
+    a saturated up branch has the limit weights (1, 0) and a drift of
     psi_down * S * a * (e^{sigma*eps_dn} - 1), and NaN ratios (below an
     infinite price) never win.  ZeroDivisionError where a node's two
     exponentials are equal (a zero weight denominator) or its price is 0,
@@ -688,8 +684,9 @@ def max_drift(model, pairs) -> float:
     drift level, fit in ``CHUNK_LEAVES`` (a tree of more leaves is a block
     of one selection).  ``model._drift_tree`` keeps the block with its
     grid; a later call in it looks up its outcome, and a later block on
-    the same candidates reads the same grid (``_drift_block``).  Read once and replaced by one assignment, never
-    written, block and grid are safe across threads."""
+    the same candidates reads the same grid (``_drift_block``).  Read
+    once and replaced by one assignment, never written, block and grid are
+    safe across threads."""
     block = model._drift_tree
     i = None if block is None else block.find(pairs)
     if i is None:
@@ -887,7 +884,11 @@ class _Bound:
     volatilities and exponentials come from the forward pass
     ``_histories``, and its weights and leaf payoffs from
     ``_branch_weights`` and ``_payoffs``, so at every history they equal
-    the engine's floats bit for bit.  Backward induction gives
+    the engine's floats bit for bit: ``psi[k]`` holds the weights
+    (psi_d, psi_u) of every (history, down candidate, up candidate) of
+    level k, ``[G | 1, downs, ups]`` (one row where the level's histories
+    share one volatility), and ``value[N]`` the payoff of every leaf, from
+    which ``greedy`` and ``_Search`` value trees.  Backward induction gives
     V_N = payoff and V_k(h) = max (min) over the step's candidate pairs of
     psi_d * V_{k+1}(h d) + psi_u * V_{k+1}(h u): the price of the best
     node-wise choice of pairs, which includes every per-step selection.
@@ -955,7 +956,7 @@ class _Bound:
         psum = price if pay.want_psum else None
         hist = price[:, None] if pay.want_paths else None
         codes = np.zeros(1, dtype=m.code_dtype) if plan.with_atoms else None
-        self.n_down, self.width, self.e, self.psi = [], [], [], []
+        self.n_down, self.width, self.psi = [], [], []
         self.maximize, self.ok = maximize, False
         for k in range(n):
             if not np.isfinite(e).all():
@@ -966,7 +967,6 @@ class _Bound:
             psi = _branch_weights(e[:, :nd, None], e[:, None, nd:])
             self.n_down.append(nd)
             self.width.append(e.shape[1])
-            self.e.append(e)
             self.psi.append(psi)
             price, _, next_e = next(levels)
             grown = price.reshape(-1, e.shape[1])              # [G, c]
@@ -1020,19 +1020,6 @@ class _Bound:
         self.delta = math.ldexp(8.0 * leaves_n * (n * top + 1.0), -1074)
         self.ok = True
 
-    def branch(self, level: int, cols) -> _Branch:
-        """The branch of the pairs (down candidate ``cols[0]``, up
-        candidate ``cols[1]``) at a level whose histories share one
-        volatility: the grid's own exponentials and weights, which are
-        the engine's, shaped ``[1, pairs, 1]``."""
-        e, (psi_d, psi_u) = self.e[level][0], self.psi[level]
-        i, j = cols[0], cols[1] - self.n_down[level]
-        out = _Branch.__new__(_Branch)
-        out.ed, out.eu = e[cols[0]][None, :, None], e[cols[1]][None, :, None]
-        out.psi_d = psi_d[0, i, j][None, :, None]
-        out.psi_u = psi_u[0, i, j][None, :, None]
-        return out
-
     def greedy(self) -> float:
         """The engine's value of the greedy selection: at every level the
         pair of best bound for the prefix chosen so far.  Its leaf weights
@@ -1056,34 +1043,35 @@ class _Bound:
             w = np.empty((psi_d.shape[0], 2))
             w[:, 0], w[:, 1] = psi_d[:, i, j], psi_u[:, i, j]
             prob = (prob[:, None] * w).ravel()
-        return float(np.add.accumulate(self.value[-1][hist] * prob)[-1])
+        return float(_row_sums((self.value[-1][hist] * prob)[None])[0])
 
 
 class _Prefixes:
-    """A batch of the pruned walk: its rows' nodes, each node's history in
-    the bound's grid (None where no bound is taken below the rows: their
-    children are leaves, or their subtree grows without bounds), and where
-    the rows come from, so that a row's prefix is known as a flat
-    lexicographic index (``code``) only when it is asked for: the rows
-    ``lo:`` of ``up`` (``pairs`` None), or the children of ``up``'s rows
-    under ``pairs`` pairs per step, (row ``r[i]``, pair ``lo + q[i]``) or,
-    when ``r`` is None, every row under pairs ``lo:lo + width``."""
+    """A batch of the pruned walk.  Per row and node, ``[rows, nodes]``:
+    the node's history in the bound's grid (``hidx``, int32) and its
+    weight (``prob``).  ``bounded`` is False in a subtree grown without
+    bounds.  And where the rows come from, so that a row's prefix is known
+    as a flat lexicographic index (``code``) only when it is asked for:
+    the rows ``lo:`` of ``up`` (``pairs`` None), or the children of
+    ``up``'s rows under ``pairs`` pairs per step, (row ``r[i]``, pair
+    ``lo + q[i]``) or, when ``r`` is None, every row under pairs
+    ``lo:lo + width``."""
 
-    __slots__ = ("nodes", "hidx", "up", "lo", "pairs", "width", "r", "q")
+    __slots__ = ("hidx", "prob", "bounded", "up", "lo", "pairs", "width",
+                 "r", "q")
 
-    def __init__(self, nodes: _Nodes, hidx, up=None, lo=0, pairs=None,
+    def __init__(self, hidx, prob, bounded: bool, up=None, lo=0, pairs=None,
                  width=0, r=None, q=None):
-        self.nodes, self.hidx = nodes, hidx
+        self.hidx, self.prob, self.bounded = hidx, prob, bounded
         self.up, self.lo, self.pairs = up, lo, pairs
         self.width, self.r, self.q = width, r, q
 
     @property
     def rows(self) -> int:
-        return self.nodes.rows
+        return self.hidx.shape[0]
 
     def take(self, rows: slice) -> "_Prefixes":
-        return _Prefixes(self.nodes.take(rows),
-                         None if self.hidx is None else self.hidx[rows],
+        return _Prefixes(self.hidx[rows], self.prob[rows], self.bounded,
                          self, rows.start or 0)
 
     def code(self, i: int) -> int:
@@ -1101,11 +1089,24 @@ class _Prefixes:
 class _Search:
     """``scan`` / ``scan_min`` by branch and bound (Land & Doig 1960) on
     ``_Bound``: the walk of the full scan, in the same lexicographic order
-    and batches, except that before a batch's children are grown each
-    child prefix gets its bound from its row's own weights, and a child
-    that cannot win is dropped with every selection below it.  At the last
-    step a child is one tree, whose bound costs about what valuing it
-    does, so those children are all valued.
+    and batches, on the bound's grid.  A row is its nodes' grid histories
+    and weights: a child's history is its parent's times the level's width
+    plus its candidate's column, down child first (``_interleave``), its
+    weight its parent's times the grid's psi at (history, pair), and a
+    tree's value the sum of weight * ``_Bound.value[N]`` over its leaves,
+    added left to right (``_row_sums``).  These are the engine's
+    operations on the engine's floats (``_Bound``), so every value is the
+    full scan's bit for bit.  As ``_Bound.ok`` holds, every exponential,
+    weight, price and V is finite and no payoff is negative, so the
+    engine's live mask changes no term (below a weight of exactly 0 a term
+    is 0 either way) and its equal-exponential check cannot fire (equal
+    exponentials give the grid NaN weights).
+
+    Before a batch's children are grown each child prefix gets its bound
+    from its row's own weights, and a child that cannot win is dropped
+    with every selection below it.  At the last step a child is one tree,
+    whose bound costs about what valuing it does, so those children are
+    all valued.
 
     The incumbent starts as the engine value of one greedy descent (the
     child of best bound at every level, taken on the grid by
@@ -1115,12 +1116,12 @@ class _Search:
     every reachable leaf pays exactly 0 once a selection earlier in
     lexicographic order has reached a value >= 0: the child's selections
     are worth exactly 0.0 and cannot replace that one under the strict
-    ``>`` rule.  Every kept selection is valued by the engine as in the
-    full scan, so the maximum, its first argmax and the tie-breaking are
-    those of the full scan: the first maximiser is never dropped.  A
-    minimum has no argmax, so it drops a child whose lower bound (at least
-    0, as payoffs are non-negative) is not below the incumbent, and counts
-    the greedy selection among its candidates.
+    ``>`` rule.  Every kept selection is valued as in the full scan, so
+    the maximum, its first argmax and the tie-breaking are those of the
+    full scan: the first maximiser is never dropped.  A minimum has no
+    argmax, so it drops a child whose lower bound (at least 0, as payoffs
+    are non-negative) is not below the incumbent, and counts the greedy
+    selection among its candidates.
 
     Bounds are taken once per batch and pair range, for as many of the
     walk's chunks of pairs as ``CHUNK_LEAVES`` (row, pair, node) entries
@@ -1133,15 +1134,18 @@ class _Search:
     every child and, on a tie, drop none.  A row's flat index is derived
     from its batch's origin only for a new maximum (``_Prefixes.code``)."""
 
-    def __init__(self, m: _Model, pay: _Payoff, plan: _Plan, bound: _Bound,
-                 maximize: bool):
-        self.m, self.pay, self.plan = m, pay, plan
-        self.bound, self.maximize = bound, maximize
+    def __init__(self, plan: _Plan, bound: _Bound, maximize: bool):
+        self.plan, self.bound, self.maximize = plan, bound, maximize
+        self.n = len(plan.pairs)
         self.best = -_INF if maximize else _INF   # of the walk, in order
         self.best_at = None
         self.incumbent = self.best
         self.trees = 0
-        self.whole = {}     # level -> (columns, shared branch)
+        # per level, each pair's down and up candidate as grid columns
+        self.cols = []
+        for pairs, nu, nd in zip(plan.pairs, plan.n_up, bound.n_down):
+            i, j = np.divmod(np.arange(pairs, dtype=np.int32), nu)
+            self.cols.append((i, j + nd))
 
     @classmethod
     def start(cls, m: _Model, pay: _Payoff, plan: _Plan,
@@ -1163,26 +1167,24 @@ class _Search:
                 bound = _Bound(m, pay, plan, maximize)
         except Exception:     # a payoff's own error, say: the full scan
             return None       # meets it where it occurs and raises it
-        return cls(m, pay, plan, bound, maximize) if bound.ok else None
+        return cls(plan, bound, maximize) if bound.ok else None
 
     def run(self) -> tuple[float, int | None, int]:
         """The extreme value, its flat index (maximum only) and the number
         of trees valued."""
-        m, pay = self.m, self.pay
-        root = _Prefixes(_root(m, pay.want_psum, pay.want_paths,
-                               self.plan.with_atoms),
-                         np.zeros((1, 1), dtype=np.int32))
+        root = _Prefixes(np.zeros((1, 1), dtype=np.int32), np.ones((1, 1)),
+                         True)
         with np.errstate(all="ignore"):
             self.incumbent = self.bound.greedy()
             self.trees = 1
-            for leaves in _walk(self.plan, m.n, root, self._expand):
+            for leaves in _walk(self.plan, self.n, root, self._expand):
                 self._value(leaves)
         if self.maximize:
             return self.best, self.best_at, self.trees
         return self.incumbent, None, self.trees
 
     def _value(self, leaves: _Prefixes) -> None:
-        vals = _leaf_values(self.m, self.pay, leaves.nodes)
+        vals = _row_sums(self.bound.value[-1][leaves.hidx] * leaves.prob)
         self.trees += vals.size
         if self.maximize:
             i = int(np.argmax(vals))
@@ -1192,39 +1194,26 @@ class _Search:
         else:
             self.incumbent = min(self.incumbent, float(vals.min()))
 
-    def _branch(self, batch: _Prefixes, level: int, lo: int, hi: int):
-        """The branch of every (row, pair) child for pairs ``lo:hi``, and
-        the pairs' down and up candidates (the columns of a grid node's
-        children).  Where the rows' nodes share one volatility (the root,
-        a constant one) the branch is the grid's (``_Bound.branch``).  Both
-        are kept for a level's whole range of pairs, which every batch of
-        a level that is not cut into chunks of pairs asks for."""
-        nodes, plan = batch.nodes, self.plan
-        hi = min(hi, plan.pairs[level])
-        whole = lo == 0 and hi == plan.pairs[level]
-        got = self.whole.get(level) if whole else None
-        if got is None:
-            i, j = np.divmod(np.arange(lo, hi, dtype=np.int32),
-                             plan.n_up[level])
-            cols = (i, j + self.bound.n_down[level])
-            got = (cols, self.bound.branch(level, cols)
-                   if nodes.sigma.shape == (1, 1) else None)
-            if whole:
-                self.whole[level] = got
-        cols, br = got
-        if br is None:
-            br = _Branch(nodes, plan.eps_d[level][:, lo:hi],
-                         plan.eps_u[level][:, lo:hi])
-        return br.checked(nodes), cols
+    def _weights(self, batch: _Prefixes, level: int, cols):
+        """The grid's (psi_d, psi_u) of every (row, pair, node) for the
+        pairs of grid columns ``cols``, ``[rows, pairs, nodes]``, or
+        ``[1, pairs, 1]`` where the level's histories share one volatility
+        (the root, a constant one)."""
+        psi = self.bound.psi[level]
+        i, j = cols[0], cols[1] - self.bound.n_down[level]
+        if psi[0].shape[0] == 1:
+            return tuple(p[0, i, j][None, :, None] for p in psi)
+        h = batch.hidx[:, None, :]
+        return tuple(p[h, i[:, None], j[:, None]] for p in psi)
 
-    def _bounds(self, batch: _Prefixes, level: int, br: _Branch, cols):
+    def _bounds(self, batch: _Prefixes, level: int, psi, cols):
         """The bound of every (row, pair) child."""
         bound = self.bound
         v = bound.value[level + 1].reshape(-1, bound.width[level])[
             batch.hidx].transpose(0, 2, 1)             # [rows, c, nodes]
-        t = br.psi_d * v[:, cols[0]]
-        t += br.psi_u * v[:, cols[1]]
-        t *= batch.nodes.prob[:, None, :]
+        t = psi[0] * v[:, cols[0]]
+        t += psi[1] * v[:, cols[1]]
+        t *= batch.prob[:, None, :]
         return t.sum(axis=2)
 
     def _zero(self, batch: _Prefixes, level: int, cols):
@@ -1238,19 +1227,21 @@ class _Search:
     def _expand(self, batch: _Prefixes, level: int, step):
         pairs = self.plan.pairs[level]
         step = step or pairs
-        if batch.hidx is None:
+        every_col = self.cols[level]
+        if not batch.bounded or level + 1 == self.n:
             for lo in range(0, pairs, step):
-                br, cols = self._branch(batch, level, lo, lo + step)
-                yield self._grow(batch, level, lo, br, cols, None, None,
-                                 False)
+                cols = tuple(c[lo:lo + step] for c in every_col)
+                yield self._children(batch, level, lo,
+                                     self._weights(batch, level, cols), cols,
+                                     None, None, False)
             return
         bound = self.bound
-        indexed = level + 2 < self.m.n      # rows below are bounded
         unit = step * max(1, CHUNK_LEAVES
-                          // (batch.rows * batch.nodes.width * step))
+                          // (batch.rows * batch.hidx.shape[1] * step))
         for first in range(0, pairs, unit):
-            br, cols = self._branch(batch, level, first, first + unit)
-            b = self._bounds(batch, level, br, cols)
+            cols = tuple(c[first:first + unit] for c in every_col)
+            psi = self._weights(batch, level, cols)
+            b = self._bounds(batch, level, psi, cols)
             reach = (b * (1.0 + bound.eta) + bound.delta if self.maximize
                      else np.maximum(b * (1.0 - bound.eta) - bound.delta,
                                      0.0))
@@ -1277,41 +1268,31 @@ class _Search:
                         continue
                     if r.size == part.size:
                         r = q = None
-                yield self._grow(
-                    batch, level, first + lo, br.pairs(lo, lo + step),
-                    (cols[0][lo:lo + step], cols[1][lo:lo + step]), r, q,
-                    indexed and not (self.trees > 1 and every))
+                yield self._children(
+                    batch, level, first + lo,
+                    tuple(p[:, lo:lo + step] for p in psi),
+                    tuple(c[lo:lo + step] for c in cols), r, q,
+                    not (self.trees > 1 and every))
 
-    def _grow(self, batch: _Prefixes, level: int, lo: int, br: _Branch,
-              cols, r, q, indexed: bool) -> _Prefixes:
+    def _children(self, batch: _Prefixes, level: int, lo: int, psi, cols,
+                  r, q, bounded: bool) -> _Prefixes:
         """The children (row ``r[i]``, pair ``lo + q[i]``), in that order
-        (every child when ``r`` is None), with their grid index when
-        ``indexed``."""
-        plan = self.plan
-        hi = lo + br.ed.shape[1]
-        eps_d, eps_u = plan.eps_d[level][:, lo:hi], plan.eps_u[level][:, lo:hi]
-        at_d = plan.at_d[level][:, lo:hi] if plan.with_atoms else None
-        at_u = plan.at_u[level][:, lo:hi] if plan.with_atoms else None
-        pairs, width = plan.pairs[level], self.bound.width[level]
-        if r is None:
-            nodes = _grow(self.m, level, batch.nodes, br, eps_d, eps_u,
-                          at_d, at_u)
-            hidx = None
-            if indexed:
-                base = batch.hidx[:, None, :] * width
-                hidx = _interleave(base + cols[0][:, None],
-                                   base + cols[1][:, None],
-                                   (batch.rows, hi - lo, batch.hidx.shape[1]))
-            return _Prefixes(nodes, hidx, batch, lo, pairs, hi - lo)
-
-        def one(x):            # [1, pairs] per step -> [kept, 1]
-            return None if x is None else x[0, q][:, None]
-        nodes = _grow(self.m, level, batch.nodes.take(r), br.pick(r, q),
-                      one(eps_d), one(eps_u), one(at_d), one(at_u))
-        hidx = None
-        if indexed:
-            base = (batch.hidx[r] * width)[:, None, :]
-            hidx = _interleave(base + cols[0][q][:, None, None],
-                               base + cols[1][q][:, None, None],
-                               (r.size, 1, batch.hidx.shape[1]))
-        return _Prefixes(nodes, hidx, batch, lo, pairs, hi - lo, r, q)
+        (every child when ``r`` is None), of the pairs from ``lo`` with
+        the weights ``psi`` and the grid columns ``cols``."""
+        hidx, prob = batch.hidx, batch.prob
+        (psi_d, psi_u), (d, u) = psi, cols
+        width = d.size
+        if r is not None:
+            def pick(x):       # [rows | 1, pairs, nodes | 1] -> [kept, 1, .]
+                return (x[r, q] if x.shape[0] > 1 else x[0, q])[:, None]
+            hidx, prob = hidx[r], prob[r]
+            psi_d, psi_u = pick(psi_d), pick(psi_u)
+            d, u = d[q, None], u[q, None]
+        shape = (hidx.shape[0], psi_d.shape[1], hidx.shape[1])
+        base = hidx[:, None, :] * self.bound.width[level]
+        new_prob, prob_d, prob_u = _children(shape)
+        np.multiply(prob[:, None, :], psi_d, out=prob_d)
+        np.multiply(prob[:, None, :], psi_u, out=prob_u)
+        return _Prefixes(_interleave(base + d[..., None], base + u[..., None],
+                                     shape), new_prob, bounded, batch, lo,
+                         self.plan.pairs[level], width, r, q)

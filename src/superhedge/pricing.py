@@ -4,8 +4,9 @@ The fair price of a super-hedge is the supremum of the claim's expectation
 over the martingale-measure family, which reduces to a supremum over spot
 measures.  On a finite shock space the supremum over model atoms is exact
 (``discrete_exhaustive``); the family's analytic supremum treats the shock
-values as free and is approached by ``grid`` / ``coordinate_ascent``
-searches and attained by the closed forms:
+values as free and is approached by ``grid`` searches (coordinate ascent
+on the grid above ``SELECTION_CAP`` combinations) and attained by the
+closed forms:
 
     call(K):        (s0 - K)^+            if s0 * prod(1 - a_i) >= K
                     s0 * (1 - prod(1-a))  otherwise
@@ -234,7 +235,7 @@ class SearchConfig:
     max_rounds: int = 50
 
     def __post_init__(self):
-        if self.mode not in ("discrete_exhaustive", "grid", "coordinate_ascent"):
+        if self.mode not in ("discrete_exhaustive", "grid"):
             raise ValidationError(f"unknown search mode {self.mode!r}")
         lo, hi = self.eps_range
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -415,15 +416,14 @@ def superhedge_sup(model: EvolutionModel, payoff: Payoff,
     combos = pair_count ** n
     gap = _grid_gap_bound(model, config)
 
-    if config.mode == "grid" and combos <= SELECTION_CAP:
+    if combos <= SELECTION_CAP:
         value, pairs, trees = _engine.scan(model, dn_cands, up_cands, payoff)
         how = "exhaustive grid scan"
     else:
         value, pairs, trees = _ascent(model, payoff, dn_cands, up_cands,
                                       config)
         how = ("coordinate ascent on the grid (combination count "
-               f"{combos} above cap)" if config.mode == "grid"
-               else "coordinate ascent on the grid")
+               f"{combos} above cap)")
     eps_pairs = tuple((dn_cands[st][pairs[st][0]], up_cands[st][pairs[st][1]])
                       for st in range(n))
     provenance = (f"{how}; search value underestimates the analytic "

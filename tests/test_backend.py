@@ -702,7 +702,7 @@ class TestDeepTrees:
 
 class TestAscent:
     def test_batched_sweeps_match_trial_by_trial(self):
-        config = SearchConfig(mode="coordinate_ascent", grid_points=9)
+        config = SearchConfig(mode="grid", grid_points=9)
         for seed, n in ((1, 2), (2, 3), (3, 3)):
             m = constant_chain(100.0, [0.3 + 0.2 * i for i in range(n)],
                                2.0 + 0.3 * seed, -0.7, 0.7)

@@ -11,8 +11,8 @@ from superhedge import (CapExceededError, EvolutionModel, Payoff,
                         non_arbitrage_interval, payoff_bounds_bounded,
                         payoff_bounds_sublinear, spot_expectation,
                         superhedge_inf, superhedge_sup)
-from superhedge import pricing
-from superhedge.measures import all_selections
+from superhedge import _engine, pricing
+from superhedge.measures import SELECTION_CAP, all_selections
 from superhedge.oracle import brute_sup_selections
 
 from _corpus import chain_model, random_model, two_point_model
@@ -77,7 +77,7 @@ class TestSuperhedgeSup:
 
     def test_constant_payoff_every_mode(self):
         m = chain_model(100.0, (0.5, 0.5), 2.5, 0.7)
-        for mode in ("discrete_exhaustive", "grid", "coordinate_ascent"):
+        for mode in ("discrete_exhaustive", "grid"):
             res = superhedge_sup(m, Payoff.constant(3.25),
                                  SearchConfig(mode=mode))
             assert res.value == pytest.approx(3.25, abs=1e-12)
@@ -92,11 +92,16 @@ class TestSuperhedgeSup:
         assert res.gap_bound is not None
 
     def test_ascent_matches_grid_on_monotone_payoff(self):
-        m = chain_model(100.0, (0.4, 0.7), 2.5, 0.7)
-        grid = superhedge_sup(m, Payoff.put(60.0), SearchConfig(mode="grid"))
-        ascent = superhedge_sup(m, Payoff.put(60.0),
-                                SearchConfig(mode="coordinate_ascent"))
-        assert ascent.value == pytest.approx(grid.value, rel=1e-12)
+        # 144^3 grid combinations exceed the cap, so grid mode runs
+        # coordinate ascent; the pruned scan of the same grid is exact
+        m = chain_model(100.0, (0.4, 0.7, 0.5), 2.5, 0.7)
+        config = SearchConfig(mode="grid", grid_points=25)
+        ascent = superhedge_sup(m, Payoff.put(60.0), config)
+        assert ascent.combinations == 144 ** 3 > SELECTION_CAP
+        assert ascent.provenance.startswith("coordinate ascent")
+        dn, up = pricing._grid_candidates(m, config)
+        exact = _engine.scan(m, dn, up, Payoff.put(60.0))[0]
+        assert ascent.value == pytest.approx(exact, rel=1e-12)
 
     def test_discrete_matches_oracle_bitwise(self):
         for seed in range(25):

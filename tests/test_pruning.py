@@ -6,6 +6,7 @@ scan never prunes, so the corpus tests shrink the block to one tree.  The
 full scan, the reference, is selected by making ``_Search.start``
 decline every input (``full_scan``)."""
 
+import collections
 import contextlib
 import math
 import random
@@ -90,14 +91,15 @@ class TestCorpus:
         took, skipped = 0, 0
         for seed in range(170):
             m = random_model(seed)
-            payoffs = payoff_menu(m) + humps(m) + (path_table(m),)
+            payoffs = payoff_menu(m) + humps(m) + (
+                path_table(m), lambda prices: abs(prices[-1] - m.s0))
             # the oracle's sup is the full scan's (test_oracle.py)
             oracle = [brute_sup_selections(m, payoff) for payoff in payoffs]
             with full_scan():
                 low = [low_bits(m, payoff) for payoff in payoffs]
             one_tree_blocks(monkeypatch, m)
             for payoff, (value, sel), ref in zip(payoffs, oracle, low):
-                assert low_bits(m, payoff) == ref, (seed, payoff.kind)
+                assert low_bits(m, payoff) == ref, (seed, payoff)
                 res = superhedge_sup(m, payoff, EXHAUSTIVE)
                 assert res.value.hex() == value.hex()
                 assert res.selection.pairs == sel.pairs
@@ -290,6 +292,37 @@ class TestRegressionGuard:
         assert res.value.hex() == value.hex()
         assert list(res.eps_pairs) == [
             (dn[st][i], up[st][j]) for st, (i, j) in enumerate(pairs)]
+
+    def test_walk_reads_the_grid(self, monkeypatch):
+        # the pruned walk values trees from the bound's grid: it grows no
+        # branch, and a plain callable is called on the grid's leaves only
+        m = fixed_garch8()
+        dn, up, atoms_dn, atoms_up = candidates(m)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        class Branch(_engine._Branch):
+            def __init__(self, *args):
+                calls["branch"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(_engine, "_Branch", Branch)
+        monkeypatch.setattr(_engine, "_grow", counted("grow", _engine._grow))
+        claim = counted("claim", lambda prices: max(prices[-1] - m.s0, 0.0))
+        tie = Payoff.asian_call(0.2 * m.s0)
+        assert pruned(m, tie) and pruned(m, claim)
+        calls.clear()
+        for payoff in (tie, claim):
+            trees = _engine.scan(m, dn, up, payoff, atoms_dn, atoms_up)[2]
+            assert trees > 1
+        assert calls["branch"] == calls["grow"] == 0
+        assert 0 < calls["claim"] <= math.prod(
+            len(d) + len(u) for d, u in zip(dn, up))
 
 
 GRID_PAYOFFS = ("call", "put", "asian_call", "asian_put")
