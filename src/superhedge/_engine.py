@@ -22,13 +22,17 @@ most significant, down candidate the major index within a step); rows
 that share a prefix share its nodes.  ``max_drift`` gives the largest
 relative one-step drift over the nodes of the tree ``value`` evaluates, in
 the same floats.  A node's drift depends only on its history and the pair
-of its level, so it is computed once per (history, pair) on a grid of
-every history of the candidate atoms (``_DriftGrid``, whose forward pass
-``_histories`` is also ``_Bound``'s), and a selection gathers its nodes
-from the grid.  A call reads the outcomes of a block, every selection of
-the model's candidate pairs that shares the call's pairs above a level,
-and keeps block and grid on the model: a sweep over the selections builds
-the model's grid once and gathers one block at a time.
+of its level, so it is computed once per (history, pair) on a candidate
+grid (``_DriftGrid``), and a selection gathers its nodes from the grid.
+A call reads the outcomes of a block, every selection of the model's
+candidate pairs that shares the call's pairs above a level, and keeps
+block and grid on the model: a sweep over the selections builds the
+model's grid once and gathers one block at a time.
+
+A candidate grid holds every history of per-level down and up shocks;
+one forward pass, ``_histories``, builds it and its weights per (history,
+pair) for the bound, the pruned walk and the drift check alike, and
+``_child_index`` finds a node's children on it.
 
 Results are bit-identical to a depth-first scalar walk (``oracle``
 re-derives them leaf by leaf) because:
@@ -57,14 +61,14 @@ per subtree and the same running maximum).
 
 ``scan`` and ``scan_min`` (every sup and inf scan of ``pricing``:
 exhaustive, grid and grid mode's coordinate ascent) skip the combinations
-that cannot win.  ``_Bound`` holds every history of the candidate atoms,
-with the engine's weights and leaf payoffs, and prices each by backward
-induction, choosing the best pair at each node (Föllmer & Schied,
-*Stochastic Finance*): an upper (lower) price of every selection below a
-history.  ``_Search`` walks the full scan's batches in its order on that
-grid, a row being its nodes' history indices and weights, and drops a
-prefix whose bound, widened by the rounding allowance eta, delta proved
-in ``_Bound``, cannot reach the best value found (Land & Doig).  A kept
+that cannot win.  ``_Bound`` holds the scan's candidate grid, with its
+leaf payoffs, and prices every history by backward induction, choosing
+the best pair at each node (Föllmer & Schied, *Stochastic Finance*): an
+upper (lower) price of every selection below a history.  ``_Search``
+walks the full scan's batches in its order on that grid, a row being its
+nodes' history indices and weights, and drops a prefix whose bound,
+widened by the rounding allowance eta, delta proved in ``_Bound``, cannot
+reach the best value found (Land & Doig).  A kept
 combination's value is the sum of its leaves' weight times payoff in the
 full scan's operations and order, so the value, the argmax and the
 tie-breaking are the full scan's bit for bit; values within eta of each
@@ -456,25 +460,32 @@ def _outcomes(top, equal, zero) -> tuple:
 
 # -- history grids ---------------------------------------------------------
 
-def _histories(m: _Model, eps, price=None, sigma=None,
+def _histories(m: _Model, levels, price=None, sigma=None,
                first: int = 0) -> Iterator[tuple]:
-    """The forward pass over every history of per-level candidate atoms,
-    for ``_Bound``'s grid and the drift grid.  ``eps[i]`` holds the atoms
-    of level ``first + i`` (a 1-D array), ``price`` / ``sigma`` the
-    histories at level ``first`` (the root when None).  Yields, per level,
-    the node prices ``[G]``, volatilities (``[1]`` for a constant law) and
-    exponentials ``[G | 1, c]``, a child's history index being its
-    parent's times ``c`` plus its atom's; after the last level, the
-    children's prices and volatilities (None at the leaves) with None.
-    The engine's own arithmetic (``_exp``, ``_moved``, ``next_sigmas``),
-    so every float is a tree walk's bit for bit."""
+    """The forward pass over a candidate grid, every history of the down
+    and up shocks ``levels[i]`` of level ``first + i``: a history's child
+    under column c (its downs, then its ups) has index parent * (nd + nu)
+    + c.  Pair p = i * nu + j (down-major, as in ``_Plan``) has the grid
+    columns ``cols`` = (i, nd + j), two int32 arrays.  ``price`` /
+    ``sigma`` hold the histories at level ``first`` (the root when None).
+    Yields, per level, the node prices ``[G]``, volatilities (``[1]`` for
+    a constant law), and per (history, pair), ``[G | 1, pairs]``, the
+    exponentials (e_d, e_u) and weights (psi_d, psi_u), then ``cols``;
+    after the last level, the children's prices and volatilities (None at
+    the leaves) and Nones.  The engine's own arithmetic (``_exp``,
+    ``_moved``, ``next_sigmas``, ``_branch_weights``), so every float is a
+    tree walk's bit for bit."""
     if price is None:
         price = np.array([m.s0])
         sigma = np.array([m.vols[0].initial_sigma()])
-    for k, x in enumerate(eps, first):
-        args = sigma[:, None] * x
+    for k, (downs, ups) in enumerate(levels, first):
+        nd, nu = len(downs), len(ups)
+        args = sigma[:, None] * np.array([*downs, *ups], dtype=float)
         e = _exp(args.ravel()).reshape(args.shape)
-        yield price, sigma, e
+        i, j = np.divmod(np.arange(nd * nu, dtype=np.int32), nu)
+        cols = (i, j + nd)
+        exps = (e[:, cols[0]], e[:, cols[1]])
+        yield price, sigma, exps, _branch_weights(*exps), cols
         grown = _moved(price[:, None], e, m.a[k])          # [G, c]
         if k + 1 == m.n:
             sigma = None
@@ -484,30 +495,28 @@ def _histories(m: _Model, eps, price=None, sigma=None,
                      else np.broadcast_to(vol.next_sigmas(
                          sigma[:, None], args), grown.shape).ravel())
         price = grown.ravel()
-    yield price, sigma, None
+    yield price, sigma, None, None, None
 
 
-def _pair_atoms(cands) -> tuple[list, list]:
-    """A level's atoms for candidate pairs ``cands`` ((eps_d, eps_u)
-    tuples): their distinct down shocks, then their distinct up shocks,
-    and each pair's (down, up) atom column."""
-    downs = list(dict.fromkeys(d for d, _ in cands))
-    ups = list(dict.fromkeys(u for _, u in cands))
-    col_d = {d: i for i, d in enumerate(downs)}
-    col_u = {u: i for i, u in enumerate(ups, len(downs))}
-    return downs + ups, [(col_d[d], col_u[u]) for d, u in cands]
+def _child_index(hidx, width: int, d, u) -> np.ndarray:
+    """The history indices of the children of ``[rows, nodes]`` parents
+    ``hidx`` on a grid level of ``width`` atoms under the pairs of grid
+    columns ``d``, ``u`` (``[pairs]``, or ``[rows, 1]``: one per row), laid
+    out as a tree walk's next level, ``[rows * pairs, 2 * nodes]``."""
+    base = hidx[:, None, :] * width
+    down = base + d[..., None]
+    return _interleave(down, base + u[..., None], down.shape)
 
 
 class _DriftGrid:
-    """The drift inputs of every history of the candidate pairs ``cands``
-    (per level from ``first``, a tuple of (eps_d, eps_u)), the histories
-    being ``_histories``' over each level's ``_pair_atoms``.  Per level:
-    the ratio |psi_d S a (e_d - 1) + psi_u S a (e_u - 1)| / S and the
-    equal-exponential flag of every (history, pair), ``[G, pairs]``, and
-    the zero-price flag of every history.  The weights are
-    ``_branch_weights``', and a saturated up branch, weight 0, adds no
-    drift.  Where the grid ends above the leaves, ``price`` and ``sigma``
-    hold the histories of the next level.  Never written once built."""
+    """The drift inputs of every history of the candidate shocks ``cands``
+    (per level from ``first``, a tuple (downs, ups), over ``_histories``).
+    Per level: the ratio |psi_d S a (e_d - 1) + psi_u S a (e_u - 1)| / S
+    and the equal-exponential flag of every (history, pair), ``[G,
+    pairs]``, and the zero-price flag of every history.  A saturated up
+    branch, weight 0, adds no drift.  Where the grid ends above the
+    leaves, ``price`` and ``sigma`` hold the histories of the next level.
+    Never written once built."""
 
     __slots__ = ("cands", "cols", "width", "ratio", "equal", "zero",
                  "price", "sigma")
@@ -515,29 +524,23 @@ class _DriftGrid:
     def __init__(self, m: _Model, cands, first: int = 0, price=None,
                  sigma=None):
         self.cands = cands
-        atoms, self.cols = [], []
-        for c in cands:
-            at, cols = _pair_atoms(c)
-            atoms.append(np.array(at, dtype=float))
-            self.cols.append(np.array(cols, dtype=np.intp))
-        self.width = [at.size for at in atoms]
-        self.ratio, self.equal, self.zero = [], [], []
+        self.width = [len(d) + len(u) for d, u in cands]
+        self.cols, self.ratio, self.equal, self.zero = [], [], [], []
         self.price = self.sigma = None
         below = first + len(cands) < m.n      # the grid ends above the leaves
-        levels = itertools.islice(_histories(m, atoms, price, sigma, first),
+        levels = itertools.islice(_histories(m, cands, price, sigma, first),
                                   len(cands) + below)
-        for k, (price, sigma, e) in enumerate(levels, first):
-            if e is None:
+        for k, (price, sigma, exps, psi, cols) in enumerate(levels, first):
+            if exps is None:
                 self.price = price
                 self.sigma = np.broadcast_to(sigma, price.shape)
                 break
-            cols = self.cols[k - first]
-            ed, eu = e[:, cols[:, 0]], e[:, cols[:, 1]]
-            psi_d, psi_u = _branch_weights(ed, eu)
+            (ed, eu), (psi_d, psi_u) = exps, psi
             s = price[:, None]
             pa = s * m.a[k]
             ratio = np.abs(psi_d * (pa * (ed - 1.0)) + np.where(
                 eu == _INF, 0.0, psi_u * (pa * (eu - 1.0)))) / s
+            self.cols.append(cols)
             self.ratio.append(ratio)
             self.equal.append(np.broadcast_to(ed == eu, ratio.shape))
             self.zero.append(price == 0.0)
@@ -553,17 +556,16 @@ class _DriftGrid:
         top = np.zeros(1)
         equal = zero = np.zeros(1, dtype=bool)
         for i, pick in enumerate(picks):
-            ratio, eq, cols = self.ratio[i], self.equal[i], self.cols[i]
+            ratio, eq, (d, u) = self.ratio[i], self.equal[i], self.cols[i]
             if pick is not None:
-                ratio, eq, cols = ratio[:, pick], eq[:, pick], cols[pick]
+                ratio, eq = ratio[:, pick], eq[:, pick]
+                d, u = d[pick], u[pick]
             top = np.maximum(top[:, None], np.fmax.reduce(
                 ratio[hidx], axis=1, initial=0.0)).ravel()
             equal = (equal[:, None] | eq[hidx].any(axis=1)).ravel()
-            zero = np.repeat(zero | self.zero[i][hidx].any(axis=1),
-                             len(cols))
+            zero = np.repeat(zero | self.zero[i][hidx].any(axis=1), d.size)
             if i + 1 < len(picks):
-                hidx = (hidx[:, None, :, None] * self.width[i]
-                        + cols[:, None, :]).reshape(top.size, -1)
+                hidx = _child_index(hidx, self.width[i], d, u)
         return top, equal, zero
 
 
@@ -610,7 +612,7 @@ def _split_outcome(m: _Model, pairs, split: int):
     in parts so that memory stays flat: a grid of its levels above
     ``split``, then one per subtree below it, in depth-first order.  The
     first failing part decides, and no later part is built."""
-    own = tuple((p,) for p in pairs)
+    own = tuple(((d,), (u,)) for d, u in pairs)
 
     def parts():
         top = _DriftGrid(m, own[:split])
@@ -645,19 +647,25 @@ def _drift_block(model, pairs, last) -> _DriftBlock:
     if split:
         return _DriftBlock(m.n, pairs, {(): 0},
                            _split_outcome(m, pairs, split), None)
-    full = tuple(tuple(t.values()) for t in model._pair_eps)
-    own = [c if p in c else (p,) for c, p in zip(full, pairs)]
-    level = _block_level([len(c) for c in own])
-    whole = all(c is f for c, f in zip(own, full)) and len(full[-1]) \
-        * math.prod(len(_pair_atoms(c)[0]) for c in full[:-1]) <= CHUNK_LEAVES
+    full = tuple((tuple(dict.fromkeys(d for d, _ in t.values())),
+                  tuple(dict.fromkeys(u for _, u in t.values())))
+                 for t in model._pair_eps)
+    own = [c if d in c[0] and u in c[1] else ((d,), (u,))
+           for c, (d, u) in zip(full, pairs)]
+    level = _block_level([len(d) * len(u) for d, u in own])
+    *above, (d_n, u_n) = full
+    whole = all(c is f for c, f in zip(own, full)) and len(d_n) * len(u_n) \
+        * math.prod(len(d) + len(u) for d, u in above) <= CHUNK_LEAVES
     cands = full if whole else tuple(
-        (p,) for p in pairs[:level]) + tuple(own[level:])
+        ((d,), (u,)) for d, u in pairs[:level]) + tuple(own[level:])
     grid = None if last is None else last.grid
     if grid is None or grid.cands != cands:
         grid = _DriftGrid(m, cands)
-    picks = [np.array([cands[k].index(p)]) if whole else None
+    # a level's pairs, down-major as the grid numbers them
+    listed = [tuple(itertools.product(*c)) for c in cands]
+    picks = [np.array([listed[k].index(p)]) if whole else None
              for k, p in enumerate(pairs[:level])] + [None] * (m.n - level)
-    where = {c: i for i, c in enumerate(itertools.product(*cands[level:]))}
+    where = {c: i for i, c in enumerate(itertools.product(*listed[level:]))}
     return _DriftBlock(level, pairs[:level], where,
                        _outcomes(*grid.reduce(picks)), grid)
 
@@ -878,16 +886,15 @@ _U = math.ldexp(1.0, -53)  # the unit roundoff
 class _Bound:
     """Node-wise upper (``maximize``) or lower prices of a scan.
 
-    The grid holds every history of the scan's candidate atoms (each
-    step's down candidates, then its up candidates; a history's index in
-    its level is row-major, step 0 most significant).  Its node prices,
-    volatilities and exponentials come from the forward pass
-    ``_histories``, and its weights and leaf payoffs from
-    ``_branch_weights`` and ``_payoffs``, so at every history they equal
-    the engine's floats bit for bit: ``psi[k]`` holds the weights
-    (psi_d, psi_u) of every (history, down candidate, up candidate) of
-    level k, ``[G | 1, downs, ups]`` (one row where the level's histories
-    share one volatility), and ``value[N]`` the payoff of every leaf, from
+    The grid is the scan's candidate grid (``_histories``: each step's
+    down candidates, then its up candidates; a history's index in its
+    level is row-major, step 0 most significant), and its leaf payoffs
+    come from ``_payoffs``, so at every history they equal the engine's
+    floats bit for bit.  Per level k it keeps what the pass yields:
+    ``psi[k]``, the weights (psi_d, psi_u) of every (history, pair),
+    ``[G | 1, pairs]`` (one row where the level's histories share one
+    volatility), ``cols[k]``, each pair's grid columns, and ``width[k]``,
+    the level's atoms; ``value[N]`` holds the payoff of every leaf, from
     which ``greedy`` and ``_Search`` value trees.  Backward induction gives
     V_N = payoff and V_k(h) = max (min) over the step's candidate pairs of
     psi_d * V_{k+1}(h d) + psi_u * V_{k+1}(h u): the price of the best
@@ -948,28 +955,23 @@ class _Bound:
 
     def __init__(self, m: _Model, pay: _Payoff, plan: _Plan, maximize: bool):
         n = m.n
-        dn_cands, up_cands = plan.dn, plan.up
-        atoms_dn, atoms_up = plan.atoms_dn, plan.atoms_up
-        levels = _histories(m, [np.asarray(list(d) + list(u), dtype=float)
-                                for d, u in zip(dn_cands, up_cands)])
-        price, _, e = next(levels)
+        levels = _histories(m, list(zip(plan.dn, plan.up)))
+        price, _, exps, psi, cols = next(levels)
         psum = price if pay.want_psum else None
         hist = price[:, None] if pay.want_paths else None
         codes = np.zeros(1, dtype=m.code_dtype) if plan.with_atoms else None
-        self.n_down, self.width, self.psi = [], [], []
+        self.cols, self.width, self.psi = [], [], []
         self.maximize, self.ok = maximize, False
         for k in range(n):
-            if not np.isfinite(e).all():
+            if not all(np.isfinite(e).all() for e in exps):
                 return
-            nd = len(dn_cands[k])
             # a weight of 0 / 0 (equal exponentials) is NaN, and so are the
             # V above it: the check of the V's below refuses it
-            psi = _branch_weights(e[:, :nd, None], e[:, None, nd:])
-            self.n_down.append(nd)
-            self.width.append(e.shape[1])
             self.psi.append(psi)
-            price, _, next_e = next(levels)
-            grown = price.reshape(-1, e.shape[1])              # [G, c]
+            self.cols.append(cols)
+            self.width.append(len(plan.dn[k]) + len(plan.up[k]))
+            price, _, exps, psi, cols = next(levels)
+            grown = price.reshape(-1, self.width[k])           # [G, c]
             if psum is not None:
                 psum = (psum[:, None] + grown).ravel()
             if hist is not None:
@@ -978,10 +980,9 @@ class _Bound:
                 out[..., k + 1] = grown
                 hist = out.reshape(grown.size, k + 2)
             if codes is not None:
-                cand = np.asarray(list(atoms_dn[k]) + list(atoms_up[k]),
-                                  dtype=m.code_dtype)
+                cand = np.asarray(list(plan.atoms_dn[k])
+                                  + list(plan.atoms_up[k]), dtype=m.code_dtype)
                 codes = (codes[:, None] * m.radix[k] + cand).ravel()
-            e = next_e
         if not np.isfinite(price).all():   # an infinite price stays so
             return
         leaves = _Nodes(price[None], None, None if psum is None
@@ -994,11 +995,11 @@ class _Bound:
         extreme = np.max if maximize else np.min
         self.value = [None] * n + [pay_n]
         for k in range(n - 1, -1, -1):
-            nd, c = self.n_down[k], self.width[k]
-            child = self.value[k + 1].reshape(-1, c)
-            psi_d, psi_u = self.psi[k]
-            t = psi_d * child[:, :nd, None] + psi_u * child[:, None, nd:]
-            self.value[k] = extreme(t.reshape(t.shape[0], -1), axis=1)
+            (psi_d, psi_u), (d, u) = self.psi[k], self.cols[k]
+            child = self.value[k + 1].reshape(-1, self.width[k])
+            t = psi_d * child[:, d]
+            t += psi_u * child[:, u]
+            self.value[k] = extreme(t, axis=1)
         # NaN (a weight of 0 / 0) wins every max and min
         tops = np.array([v.max() for v in self.value])
         if not np.isfinite(tops).all():
@@ -1027,23 +1028,23 @@ class _Bound:
         its terms are added left to right, in depth-first order, so it is
         the engine's value bit for bit (a term below a weight of exactly 0
         is 0, as the engine's masked one)."""
-        hist = np.zeros(1, dtype=np.intp)      # the prefix's grid nodes
+        hist = np.zeros((1, 1), dtype=np.intp)   # the prefix's grid nodes
         prob = np.ones(1)
-        for k, (psi_d, psi_u) in enumerate(self.psi):
-            nd, c = self.n_down[k], self.width[k]
+        for k, ((psi_d, psi_u), (d, u)) in enumerate(zip(self.psi,
+                                                          self.cols)):
             if psi_d.shape[0] > 1:
-                psi_d, psi_u = psi_d[hist], psi_u[hist]
-            v = self.value[k + 1].reshape(-1, c)[hist]
-            t = psi_d * v[:, :nd, None]
-            t += psi_u * v[:, None, nd:]
-            b = prob @ t.reshape(prob.size, -1)
-            i, j = divmod(int(b.argmax() if self.maximize else b.argmin()),
-                          t.shape[2])
-            hist = (hist[:, None] * c + (i, nd + j)).ravel()
+                psi_d, psi_u = psi_d[hist[0]], psi_u[hist[0]]
+            # [nodes, pairs] in C order, the order ``prob @ t`` sums in
+            v = self.value[k + 1].reshape(-1, self.width[k])
+            t = psi_d * v[hist.T, d]
+            t += psi_u * v[hist.T, u]
+            b = prob @ t
+            p = int(b.argmax() if self.maximize else b.argmin())
+            hist = _child_index(hist, self.width[k], d[p:p + 1], u[p:p + 1])
             w = np.empty((psi_d.shape[0], 2))
-            w[:, 0], w[:, 1] = psi_d[:, i, j], psi_u[:, i, j]
+            w[:, 0], w[:, 1] = psi_d[:, p], psi_u[:, p]
             prob = (prob[:, None] * w).ravel()
-        return float(_row_sums((self.value[-1][hist] * prob)[None])[0])
+        return float(_row_sums(self.value[-1][hist] * prob)[0])
 
 
 class _Prefixes:
@@ -1090,11 +1091,11 @@ class _Search:
     """``scan`` / ``scan_min`` by branch and bound (Land & Doig 1960) on
     ``_Bound``: the walk of the full scan, in the same lexicographic order
     and batches, on the bound's grid.  A row is its nodes' grid histories
-    and weights: a child's history is its parent's times the level's width
-    plus its candidate's column, down child first (``_interleave``), its
-    weight its parent's times the grid's psi at (history, pair), and a
-    tree's value the sum of weight * ``_Bound.value[N]`` over its leaves,
-    added left to right (``_row_sums``).  These are the engine's
+    and weights: a child's history is ``_child_index``'s, from the pair's
+    grid columns (``_Bound.cols``), its weight its parent's times the
+    grid's psi at (history, pair), and a tree's value the sum of weight *
+    ``_Bound.value[N]`` over its leaves, added left to right
+    (``_row_sums``).  These are the engine's
     operations on the engine's floats (``_Bound``), so every value is the
     full scan's bit for bit.  As ``_Bound.ok`` holds, every exponential,
     weight, price and V is finite and no payoff is negative, so the
@@ -1141,11 +1142,6 @@ class _Search:
         self.best_at = None
         self.incumbent = self.best
         self.trees = 0
-        # per level, each pair's down and up candidate as grid columns
-        self.cols = []
-        for pairs, nu, nd in zip(plan.pairs, plan.n_up, bound.n_down):
-            i, j = np.divmod(np.arange(pairs, dtype=np.int32), nu)
-            self.cols.append((i, j + nd))
 
     @classmethod
     def start(cls, m: _Model, pay: _Payoff, plan: _Plan,
@@ -1194,17 +1190,18 @@ class _Search:
         else:
             self.incumbent = min(self.incumbent, float(vals.min()))
 
-    def _weights(self, batch: _Prefixes, level: int, cols):
+    def _weights(self, batch: _Prefixes, level: int, pairs: slice):
         """The grid's (psi_d, psi_u) of every (row, pair, node) for the
-        pairs of grid columns ``cols``, ``[rows, pairs, nodes]``, or
-        ``[1, pairs, 1]`` where the level's histories share one volatility
-        (the root, a constant one)."""
-        psi = self.bound.psi[level]
-        i, j = cols[0], cols[1] - self.bound.n_down[level]
+        pairs ``pairs``, ``[rows, pairs, nodes]``, or ``[1, pairs, 1]``
+        where the level's histories share one volatility (the root, a
+        constant one), and the pairs' grid columns."""
+        psi, cols = self.bound.psi[level], self.bound.cols[level]
+        cols = tuple(c[pairs] for c in cols)
         if psi[0].shape[0] == 1:
-            return tuple(p[0, i, j][None, :, None] for p in psi)
+            return tuple(p[0, pairs][None, :, None] for p in psi), cols
         h = batch.hidx[:, None, :]
-        return tuple(p[h, i[:, None], j[:, None]] for p in psi)
+        q = np.arange(*pairs.indices(psi[0].shape[1]))[:, None]
+        return tuple(p[h, q] for p in psi), cols
 
     def _bounds(self, batch: _Prefixes, level: int, psi, cols):
         """The bound of every (row, pair) child."""
@@ -1227,20 +1224,17 @@ class _Search:
     def _expand(self, batch: _Prefixes, level: int, step):
         pairs = self.plan.pairs[level]
         step = step or pairs
-        every_col = self.cols[level]
         if not batch.bounded or level + 1 == self.n:
             for lo in range(0, pairs, step):
-                cols = tuple(c[lo:lo + step] for c in every_col)
-                yield self._children(batch, level, lo,
-                                     self._weights(batch, level, cols), cols,
-                                     None, None, False)
+                yield self._children(batch, level, lo, *self._weights(
+                    batch, level, slice(lo, lo + step)), None, None, False)
             return
         bound = self.bound
         unit = step * max(1, CHUNK_LEAVES
                           // (batch.rows * batch.hidx.shape[1] * step))
         for first in range(0, pairs, unit):
-            cols = tuple(c[first:first + unit] for c in every_col)
-            psi = self._weights(batch, level, cols)
+            psi, cols = self._weights(batch, level,
+                                      slice(first, first + unit))
             b = self._bounds(batch, level, psi, cols)
             reach = (b * (1.0 + bound.eta) + bound.delta if self.maximize
                      else np.maximum(b * (1.0 - bound.eta) - bound.delta,
@@ -1288,11 +1282,10 @@ class _Search:
             hidx, prob = hidx[r], prob[r]
             psi_d, psi_u = pick(psi_d), pick(psi_u)
             d, u = d[q, None], u[q, None]
-        shape = (hidx.shape[0], psi_d.shape[1], hidx.shape[1])
-        base = hidx[:, None, :] * self.bound.width[level]
-        new_prob, prob_d, prob_u = _children(shape)
+        new_prob, prob_d, prob_u = _children(
+            (hidx.shape[0], psi_d.shape[1], hidx.shape[1]))
         np.multiply(prob[:, None, :], psi_d, out=prob_d)
         np.multiply(prob[:, None, :], psi_u, out=prob_u)
-        return _Prefixes(_interleave(base + d[..., None], base + u[..., None],
-                                     shape), new_prob, bounded, batch, lo,
+        return _Prefixes(_child_index(hidx, self.bound.width[level], d, u),
+                         new_prob, bounded, batch, lo,
                          self.plan.pairs[level], width, r, q)

@@ -311,7 +311,8 @@ def surface_from_nodes(model: EvolutionModel, floor: float,
         if extra:
             raise ValidationError(f"unknown surface node fields {sorted(extra)}")
         hist = _require(node.get("history", []), list, "surface node history")
-        if not all(isinstance(j, int) for j in hist):
+        if not all(isinstance(j, int) and not isinstance(j, bool)
+                   for j in hist):
             raise ValidationError(f"surface node history {hist!r} is not a "
                                   "list of atom indices")
         hist = tuple(hist)

@@ -156,11 +156,6 @@ class AtomPairSelection:
     pairs: tuple[tuple[int, int], ...]
 
 
-def validate_selection(model: EvolutionModel,
-                       selection: AtomPairSelection) -> None:
-    _selection_shocks(model, selection)
-
-
 def _selection_shocks(model: EvolutionModel, selection: AtomPairSelection
                       ) -> tuple[tuple[float, float], ...]:
     """The selection's (down eps, up eps) per step, checked in the same

@@ -421,15 +421,17 @@ _VOL_FIELDS = {kind: {"kind", *fields} for kind, fields in _VOL_ORDER.items()}
 
 
 def _number(d: dict, key: str, where: str) -> float:
-    """``d[key]`` as a float; a missing or non-numeric value is a
-    ValidationError naming ``where``."""
+    """``d[key]`` as a float; a missing or non-numeric value (a JSON
+    boolean too) is a ValidationError naming ``where``."""
     if key not in d:
         raise ValidationError(f"missing '{key}' {where}")
-    try:
-        return float(d[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"'{key}' {where} is not a number: {d[key]!r}") from None
+    value = d[key]
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"'{key}' {where} is not a number: {value!r}")
 
 
 def _require(obj, kind: type, what: str):

@@ -232,7 +232,6 @@ class SearchConfig:
     eps_range: tuple[float, float] = (-12.0, 12.0)
     grid_points: int = 49
     tol: float = 1e-12
-    max_rounds: int = 50
 
     def __post_init__(self):
         if self.mode not in ("discrete_exhaustive", "grid"):
@@ -240,6 +239,8 @@ class SearchConfig:
         lo, hi = self.eps_range
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("eps_range bounds must be finite")
+        if not math.isfinite(hi - lo):
+            raise ValidationError("eps_range width must be finite")
         if not lo < 0 < hi:
             raise ValidationError("eps_range must straddle zero")
         if self.grid_points < 3:
@@ -335,6 +336,9 @@ def _grid_gap_bound(model: EvolutionModel, config: SearchConfig) -> float:
                                        + math.exp(s_lo * lo))
 
 
+_MAX_ROUNDS = 50     # sweeps of ``_ascent``
+
+
 def _ascent(model: EvolutionModel, payoff: Payoff, dn_cands, up_cands,
             config: SearchConfig):
     """Coordinate ascent over per-step pairs, extreme pair as the start.
@@ -356,7 +360,7 @@ def _ascent(model: EvolutionModel, payoff: Payoff, dn_cands, up_cands,
 
     best = _engine.value(model, [c[0] for c in dn_cands],
                          [c[0] for c in up_cands], payoff)
-    for _ in range(config.max_rounds):
+    for _ in range(_MAX_ROUNDS):
         round_start = best
         for st in range(n):
             v, pairs, count = _engine.scan(model, held(st, dn_cands, 0),

@@ -1,9 +1,11 @@
 """The batched tree engine against the per-leaf oracle, bit for bit."""
 
 import ast
+import collections
 import dataclasses
 import inspect
 import math
+import pathlib
 import random
 import sys
 import threading
@@ -502,6 +504,31 @@ def test_engine_takes_no_numpy_exponential():
             assert "exp" not in [alias.name for alias in node.names]
 
 
+def test_every_definition_is_used():
+    # a module-level function or class of the package that no code in
+    # src/, tests/ or bench/ names is dead
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = sorted((root / "src" / "superhedge").glob("*.py"))
+    used = collections.Counter()
+    for path in package + sorted((root / "tests").glob("*.py")) \
+            + sorted((root / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                used[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                used[node.name] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                used[node.value] += 1      # __all__, monkeypatch.setattr
+    dead = [f"{path.name}:{node.lineno} {node.name}" for path in package
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not used[node.name]]
+    assert not dead, dead
+
+
 class TestDriftBlocks:
     """One walk computes the drift outcome of a block of selections; every
     call's outcome is that of a scalar walk, in any call order."""
@@ -722,7 +749,7 @@ class TestAscent:
                                    payoff)
 
         best = value(state)
-        for _ in range(config.max_rounds):
+        for _ in range(pricing._MAX_ROUNDS):
             start = best
             for st in range(n):
                 for i in range(len(dn[st])):

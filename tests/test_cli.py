@@ -171,6 +171,9 @@ class TestPrice:
         ('[1, 2]', "model must be a JSON object"),
         ('{"s0": 100.0, "steps": [{"a": 0.5, "vol": {"kind": [], '
          '"sigma": 1.0}, "shocks": []}]}', "unknown volatility kind []"),
+        ('{"s0": 100.0, "steps": [{"a": true, "vol": {"kind": "constant", '
+         '"sigma": true}, "shocks": [{"eps": -0.7, "prob": 0.5}, '
+         '{"eps": 0.7, "prob": 0.5}]}]}', "'a' at step 1 is not a number"),
     ])
     def test_malformed_model_exits_one(self, tmp_path, capsys, text,
                                        message):
@@ -199,9 +202,10 @@ class TestPrice:
     @pytest.mark.parametrize("argv, message", [
         (["--eps-range=-inf,inf"], "eps_range bounds must be finite"),
         (["--eps-range=-1,nan"], "eps_range bounds must be finite"),
+        (["--eps-range=-1e308,1e308"], "eps_range width must be finite"),
         (["--strike", "inf"], "strike must be positive and finite"),
         (["--strike", "nan"], "strike must be positive and finite"),
-    ], ids=["eps-inf", "eps-nan", "strike-inf", "strike-nan"])
+    ], ids=["eps-inf", "eps-nan", "eps-wide", "strike-inf", "strike-nan"])
     def test_non_finite_arguments_exit_one(self, model_file, capsys, argv,
                                            message):
         base = ["price", "--model", model_file, "--payoff", "call",
@@ -408,10 +412,14 @@ class TestDecompose:
         ('{"floor": 1.0, "nodes": [{"history": [2], "value": 5.0}]}',
          "has invalid atom index"),
         ('[1, 2]', "surface must be a JSON object"),
+        ('{"floor": 1.0, "nodes": [%s]}'
+         % GOOD_NODES.replace('"history": [1]', '"history": [true]'),
+         "not a list of atom indices"),
     ], ids=["floor-not-number", "value-missing", "history-not-indices",
             "nodes-not-array", "value-infinity", "value-nan",
             "value-overflow", "floor-overflow", "node-not-object",
-            "history-not-array", "atom-out-of-range", "not-object"])
+            "history-not-array", "atom-out-of-range", "not-object",
+            "history-boolean"])
     def test_malformed_surface_exits_one(self, model_file, tmp_path, capsys,
                                          text, message):
         surface = tmp_path / "surface.json"
