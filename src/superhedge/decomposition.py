@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .measures import (MeasureDensity, history_at, history_index,
-                       _require_own_model, verify_martingale)
+                       _require_own_model, _row_blocks, verify_martingale)
 from .model import (EvolutionModel, _check_step, _number, _require,
                     require_valid)
 
@@ -110,13 +110,18 @@ class SupermartingaleSurface:
         scaled excess (NaN if any is NaN)."""
         require_valid(self.model)
         gammas, xi0, worst = [], [], []
-        for n in range(self.model.n_steps):
-            gamma, xi, excess = _level(self, n)
+        for n, f in enumerate(self.values[:-1]):
+            gamma = np.empty(f.size)
+            xi = np.empty((len(self.model.steps[n].shocks), f.size))
+            maxima = []
+            for rows in _row_blocks(f.size):
+                gamma[rows], xi[:, rows], excess = _level(self, n, rows)
+                maxima.append(excess.max())
             gamma.setflags(write=False)
             xi.setflags(write=False)
             gammas.append(gamma)
-            xi0.append(xi)
-            worst.append(float(excess.max()))
+            xi0.append(xi.T)            # atom-major, as dS
+            worst.append(float(reduce(np.maximum, maxima)))
         return tuple(gammas), tuple(xi0), tuple(worst)
 
 
@@ -162,29 +167,30 @@ def gamma_step(model: EvolutionModel, surface: SupermartingaleSurface,
     _require_own_model(model, surface)
     _check_step(model, n, history_atoms)
     flat = history_index(model.atom_counts(), history_atoms)
-    return float(_level(surface, n - 1)[0][flat])
+    return float(_level(surface, n - 1, slice(flat, flat + 1))[0][0])
 
 
-def _level(surface: SupermartingaleSurface, n: int
+def _level(surface: SupermartingaleSurface, n: int, rows: slice = slice(None)
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """gamma_n per length-n prefix, and per (prefix, atom) xi0_{n+1} and
-    the scaled excess (f_{n+1}/f_n - xi0_{n+1}) / max(1, f_n)."""
+    """gamma_n of the length-n prefixes ``rows``, and per (atom, prefix)
+    xi0_{n+1} and per (prefix, atom) the scaled excess
+    (f_{n+1}/f_n - xi0_{n+1}) / max(1, f_n)."""
     model = surface.model
     downs = model.strict_down_indices(n + 1)
     if not downs:
         raise ValidationError(f"step {n + 1} has no strictly-down atom")
-    xi = model.lattice.delta(n)
-    excess = surface.values[n + 1].reshape(-1, len(model.steps[n].shocks)) \
-        / surface.values[n][:, None]
-    gamma = reduce(np.minimum, ((1.0 - excess[:, j]) / -xi[:, j]
-                                for j in downs))
-    # dS and the ratios become xi0 and the excess in place, so no grid of
-    # the level is held twice
-    xi *= gamma[:, None]
+    delta = model.lattice.delta[n][rows].T            # (atoms, prefixes)
+    f = surface.values[n][rows]
+    # per (atom, prefix), so that numpy's inner loops run over the prefixes;
+    # the ratios become the excess in place
+    excess = np.divide(surface.values[n + 1].reshape(-1, delta.shape[0])[rows].T,
+                       f, out=np.empty(delta.shape))
+    gamma = reduce(np.minimum, ((1.0 - excess[j]) / -delta[j] for j in downs))
+    xi = delta * gamma
     xi += 1.0
     excess -= xi
-    excess /= np.maximum(1.0, surface.values[n])[:, None]
-    return gamma, xi, excess
+    excess /= np.maximum(1.0, f)
+    return gamma, xi, excess.T
 
 
 def _ratio_bound(model: EvolutionModel, surface: SupermartingaleSurface,
@@ -235,9 +241,28 @@ def optional_decompose(model: EvolutionModel,
     for n, xi in enumerate(xi0):
         f_prev = surface.values[n]
         f_next = surface.values[n + 1].reshape(-1, counts[n])
-        g.append(-f_next + f_prev[:, None] * xi)
-        M.append((M[n][:, None] + f_prev[:, None] * (xi - 1.0)).ravel())
+        # g per (atom, prefix), as xi, and M_{n+1} row-major, a block of
+        # prefixes at a time
+        g_n = np.empty(xi.shape[::-1])
+        m = np.empty(xi.shape)
+        for rows in _row_blocks(xi.shape[0]):
+            x = xi[rows].T
+            g_rows = np.multiply(x, f_prev[rows], out=g_n[:, rows])
+            g_rows -= f_next[rows].T
+            m_rows = x - 1.0
+            m_rows *= f_prev[rows]
+            m_rows += M[n][rows]
+            m[rows] = m_rows.T
+        g.append(g_n.T)
+        M.append(m.ravel())
     return Decomposition(model, gammas, xi0, tuple(g), tuple(M))
+
+
+def _max_residual(f: np.ndarray, m: np.ndarray, c: np.ndarray) -> float:
+    """max |f - (m - c)|, computed in c's buffer."""
+    np.subtract(m, c, out=c)
+    np.subtract(f, c, out=c)
+    return np.abs(c, out=c).max()
 
 
 def verify_decomposition(model: EvolutionModel,
@@ -255,33 +280,44 @@ def verify_decomposition(model: EvolutionModel,
     failures = []
     max_g = 0.0
     for n, g_n in enumerate(decomposition.g):
-        worst = float((-g_n).max())
+        worst = -float(g_n.min())
         max_g = float(np.maximum(max_g, worst))
         if not worst <= tol:
             failures.append(f"consumption negativity at step {n + 1} "
                             f"({worst:.3e})")
-    max_rec = 0.0
-    cum_g = np.array([0.0])
-    for n in range(model.n_steps + 1):
-        # |f_n - (M_n - cum_g)| in cum_g's buffer, once the next is built
-        t = cum_g
+    # |f_n - (M_n - cum_g_n)| per level, cum_g_n being the consumption
+    # summed from step 1; a level is checked in blocks of the prefixes above
+    # it, from their sums, so that no level's sums are held whole
+    resids = [_max_residual(surface.values[0], decomposition.M[0],
+                            np.zeros(1))]
+    cum_g = np.zeros(1)
+    for n, g_n in enumerate(decomposition.g, start=1):
+        f = surface.values[n].reshape(g_n.shape)
+        m = decomposition.M[n].reshape(g_n.shape)
+        resids.append(reduce(np.maximum, (
+            _max_residual(f[rows].T, m[rows].T, g_n[rows].T + cum_g[rows])
+            for rows in _row_blocks(g_n.shape[0]))))
         if n < model.n_steps:
-            cum_g = (cum_g[:, None] + decomposition.g[n]).ravel()
-        np.subtract(decomposition.M[n], t, out=t)
-        np.subtract(surface.values[n], t, out=t)
-        resid = float(np.abs(t, out=t).max())
+            cum_g = (cum_g[:, None] + g_n).ravel()
+    del cum_g            # not needed by the martingale pass
+    max_rec = 0.0
+    for n, resid in enumerate(map(float, resids)):
         max_rec = float(np.maximum(max_rec, resid))
         if not resid <= tol:
             failures.append(f"reconstruction residual {resid:.3e} at level {n}")
-    del t, cum_g      # a full-size grid the martingale pass does not need
     max_mart = 0.0
     for qi, q in enumerate(densities):
         for n in range(model.n_steps):
             probs = np.array([at.prob for at in model.steps[n].shocks])
             m_next = decomposition.M[n + 1].reshape(-1, counts[n])
-            cond = np.einsum("ha,a->h", m_next * q.psi[n], probs)
-            resid = np.abs(cond - decomposition.M[n]) \
-                / np.maximum(1.0, np.abs(decomposition.M[n]))
+            cond = np.empty(m_next.shape[0])
+            for rows in _row_blocks(cond.size):
+                cond[rows] = np.einsum("ha,a->h", m_next[rows] * q.psi[n][rows],
+                                       probs)
+            resid = np.abs(np.subtract(cond, decomposition.M[n], out=cond),
+                           out=cond)
+            scale = np.abs(decomposition.M[n])
+            resid /= np.maximum(1.0, scale, out=scale)
             worst = float(resid.max())
             max_mart = float(np.maximum(max_mart, worst))
             if not worst <= tol:

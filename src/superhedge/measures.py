@@ -41,7 +41,7 @@ import numpy as np
 from . import _engine
 from .errors import CapExceededError, ValidationError
 from .model import (PATH_CAP, EvolutionModel, StepSpec, _branch_weights,
-                    _saturating_exp, require_valid, sigma_at)
+                    _check_step, _saturating_exp, require_valid, sigma_at)
 
 SELECTION_CAP = 2_000_000
 
@@ -78,12 +78,15 @@ class Lattice:
     """The tree of history prefixes on which densities, expectations and
     the decomposition live, one row-major level per prefix length:
     ``sigma[n]`` (step n + 1's volatility, bit for bit ``sigma_at``),
-    ``price[n]`` (S_n), and per (prefix, atom) ``exp(n)`` (e^{sigma eps})
-    and ``delta(n)`` (dS_{n+1}), each built in the buffer of its
-    exponentials so that a level's grid is held once.  ``paths(n)`` walks
-    the price and atom paths of the length-n prefixes.  Each model holds
-    one (``EvolutionModel.lattice``): ``sigma`` and ``price`` are kept and
-    read-only, and the lattice holds no reference to the model."""
+    ``price[n]`` (S_n) and, per (prefix, atom), ``delta[n]``
+    (dS_{n+1} = (S_n a) (e^{sigma eps} - 1), atom-major in memory:
+    ``delta[n].T`` is contiguous).  ``exp(n)`` builds a level's
+    e^{sigma eps} per (prefix, atom) afresh on every call; ``price`` and
+    ``delta`` are built together, from one ``exp`` per level.
+    ``paths(n)`` walks the price and atom paths of the length-n prefixes.
+    Each model holds one (``EvolutionModel.lattice``): ``sigma``,
+    ``price`` and ``delta`` are kept and read-only, and the lattice holds
+    no reference to the model."""
 
     def __init__(self, model: EvolutionModel):
         self.s0, self.a = model.s0, model.a_list
@@ -112,24 +115,33 @@ class Lattice:
         return x
 
     @cached_property
-    def price(self) -> tuple[np.ndarray, ...]:
-        prices = [np.array([self.s0])]
+    def _increments(self) -> tuple[tuple[np.ndarray, ...],
+                                   tuple[np.ndarray, ...]]:
+        """``price`` and ``delta``: per level, e^{sigma eps} - 1 gives
+        dS = (S a) (e - 1) and, in its own buffer, the children's prices
+        S (1 + a (e - 1))."""
+        prices, deltas = [np.array([self.s0])], []
         for n, a in enumerate(self.a):
-            f = self.exp(n)               # S * (1 + a * (e - 1))
+            s = prices[-1]
+            f = self.exp(n)
             f -= 1.0
+            deltas.append(np.multiply(f.T, s * a,
+                                      out=np.empty(f.shape[::-1])).T)
             f *= a
             f += 1.0
-            f *= prices[-1][:, None]
+            f *= s[:, None]
             prices.append(f.ravel())
-        for level in prices:
+        for level in prices + deltas:
             level.setflags(write=False)
-        return tuple(prices)
+        return tuple(prices), tuple(deltas)
 
-    def delta(self, n: int) -> np.ndarray:
-        d = self.exp(n)                   # (S * a) * (e - 1)
-        d -= 1.0
-        d *= self.price[n][:, None] * self.a[n]
-        return d
+    @property
+    def price(self) -> tuple[np.ndarray, ...]:
+        return self._increments[0]
+
+    @property
+    def delta(self) -> tuple[np.ndarray, ...]:
+        return self._increments[1]
 
     def paths(self, n: int) -> Iterator[tuple[int, Iterator, Iterator]]:
         """The length-``n`` prefixes in row-major order, in blocks of at
@@ -145,6 +157,13 @@ class Lattice:
                 atoms.append(atom.tolist())
                 prices.append(self.price[lvl - 1][rows].tolist())
             yield lo, zip(*prices[::-1]), zip(*atoms[::-1])
+
+
+def _row_blocks(rows: int) -> list[slice]:
+    """Slices of at most ``CHUNK_LEAVES`` rows covering ``range(rows)``: a
+    level worked through them holds no temporary of its full size."""
+    block = _engine.CHUNK_LEAVES
+    return [slice(lo, lo + block) for lo in range(0, rows, block)]
 
 
 # -- spot measures --------------------------------------------------------
@@ -290,23 +309,23 @@ class SpotMeasure:
         psi = []
         for n, step in enumerate(model.steps):
             d, u = self.selection.pairs[n]
-            psi_d, psi_u = _pair_weights(model.lattice, n, [d], [u])
-            out = np.zeros((psi_d.shape[0], len(step.shocks)))
-            out[:, d] = psi_d[:, 0, 0] / step.shocks[d].prob
-            out[:, u] = psi_u[:, 0, 0] / step.shocks[u].prob
+            psi_d, psi_u = _pair_weights(model.lattice.exp(n).T, n, [d],
+                                         [u])
+            out = np.zeros((psi_d.shape[2], len(step.shocks)))
+            out[:, d] = psi_d[0, 0] / step.shocks[d].prob
+            out[:, u] = psi_u[0, 0] / step.shocks[u].prob
             out.setflags(write=False)
             psi.append(out)
         return MeasureDensity(model, tuple(psi))
 
 
-def _pair_weights(lattice: Lattice, n: int, downs: list[int],
+def _pair_weights(e: np.ndarray, n: int, downs: list[int],
                   ups: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Branch weights (psi_d, psi_u) of step n + 1 per (length-n prefix,
-    down atom, up atom); equal exponentials (V = 0) are a ValidationError."""
-    e = lattice.exp(n)
-    ed = e[:, downs][:, :, None]                  # (H, D, 1)
-    eu = e[:, ups][:, None, :]                    # (H, 1, U)
-    del e
+    """Branch weights (psi_d, psi_u) of step n + 1 per (down atom, up atom,
+    prefix), from the prefixes' e^{sigma eps} per (atom, prefix); equal
+    exponentials (V = 0) are a ValidationError."""
+    ed = e[downs][:, None]                        # (D, 1, H)
+    eu = e[ups][None]                             # (1, U, H)
     if np.any(eu <= ed):
         raise ValidationError(
             f"degenerate (down, up) pair with V = 0 at step {n + 1}")
@@ -426,7 +445,11 @@ class MeasureDensity:
 
     def value(self, n: int, history_atoms: Sequence[int], atom: int) -> float:
         """psi at step n (1-based) for a history given by atom indices."""
-        flat = history_index(self.model.atom_counts(), history_atoms)
+        _check_step(self.model, n, history_atoms)
+        counts = self.model.atom_counts()
+        if not 0 <= atom < counts[n - 1]:
+            raise ValidationError(f"atom index {atom} out of range at step {n}")
+        flat = history_index(counts, history_atoms)
         return float(self.psi[n - 1][flat, atom])
 
     @property
@@ -445,7 +468,7 @@ class MeasureDensity:
         psi = self.psi[n]
         norm_res = np.abs(psi @ probs - 1.0)
         drift_res = np.abs(np.einsum("ha,a,ha->h", psi, probs,
-                                     lattice.delta(n))) / lattice.price[n]
+                                     lattice.delta[n])) / lattice.price[n]
         return norm_res, drift_res
 
     @cached_property
@@ -476,14 +499,18 @@ def mixture_density(model: EvolutionModel,
     for n, step in enumerate(model.steps):
         sa = alphas.steps[n]
         probs = np.array([at.prob for at in step.shocks])
-        r_plus, r_minus = _pair_weights(model.lattice, n, list(sa.down_atoms),
-                                        list(sa.up_atoms))   # (H, D, U)
+        downs, ups = list(sa.down_atoms), list(sa.up_atoms)
         w = np.asarray(sa.weights, dtype=float)
-        pd = probs[list(sa.down_atoms)]
-        pu = probs[list(sa.up_atoms)]
-        out = np.zeros((r_plus.shape[0], len(step.shocks)))
-        out[:, list(sa.down_atoms)] = np.einsum("u,du,hdu->hd", pu, w, r_plus)
-        out[:, list(sa.up_atoms)] = np.einsum("d,du,hdu->hu", pd, w, r_minus)
+        e = model.lattice.exp(n)
+        out = np.empty(e.shape)     # every atom is a down or an up atom
+        # a block of prefixes at a time, so that the (down, up, prefix)
+        # grids stay small
+        for rows in _row_blocks(out.shape[0]):
+            r_plus, r_minus = _pair_weights(e[rows].T, n, downs, ups)
+            out[rows, downs] = np.einsum("u,du,duh->hd", probs[ups], w,
+                                         r_plus)
+            out[rows, ups] = np.einsum("d,du,duh->hu", probs[downs], w,
+                                       r_minus)
         out.setflags(write=False)
         psi.append(out)
     return MeasureDensity(model, tuple(psi))
@@ -498,7 +525,9 @@ def measure_expectation(model: EvolutionModel, density: MeasureDensity,
     weights = np.array([1.0])
     for n, step in enumerate(model.steps):
         probs = np.array([at.prob for at in step.shocks])
-        weights = (weights[:, None] * (probs[None, :] * density.psi[n])).ravel()
+        w = density.psi[n] * probs
+        w *= weights[:, None]
+        weights = w.ravel()
     lattice = model.lattice
     formula = _engine.formula(payoff)
     if formula is not None:
@@ -507,7 +536,8 @@ def measure_expectation(model: EvolutionModel, density: MeasureDensity,
         if formula.reads_path_sum:
             path_sum = np.array([model.s0])
             for n, c in enumerate(lattice.counts):
-                path_sum = np.repeat(path_sum, c) + prices[n + 1]
+                path_sum = np.repeat(path_sum, c)
+                path_sum += prices[n + 1]
         values = formula.values(prices[-1], path_sum, model.n_steps)
     else:
         fn = _engine.payoff_fn(payoff)

@@ -66,7 +66,7 @@ class TestGammaStep:
             m = random_model(seed, n_max=3)
             surface = min_surface(m)
             lattice = Lattice(m)
-            deltas = [lattice.delta(n) for n in range(m.n_steps)]
+            deltas = lattice.delta
             counts = m.atom_counts()
             for n in range(1, m.n_steps + 1):
                 downs = m.strict_down_indices(n)
@@ -389,7 +389,7 @@ def ratio_failures_by_node(surface, tol):
     lattice, counts = Lattice(m), m.atom_counts()
     out = []
     for n in range(m.n_steps):
-        delta = lattice.delta(n)
+        delta = lattice.delta[n]
         downs = m.strict_down_indices(n + 1)
         for h in range(delta.shape[0]):
             f = surface.values[n][h]
@@ -475,17 +475,25 @@ class TestKeptRatioBound:
         assert bits(optional_decompose(reloaded, surface)) == bits(dec)
         assert verify_decomposition(reloaded, surface, dec, [density]).passed
 
-    def test_each_step_delta_built_once_per_object(self, monkeypatch):
-        # the benchmark's chain: densities verified, then the ratio bound,
-        # the decomposition and its check against those densities
+    @staticmethod
+    def count_exp(monkeypatch):
+        """Lattice.exp calls per level, counted from now on."""
         built = collections.Counter()
-        delta = Lattice.delta
+        exp = Lattice.exp
 
-        def counting_delta(self, n):
+        def counting_exp(self, n):
             built[n] += 1
-            return delta(self, n)
+            return exp(self, n)
 
-        monkeypatch.setattr(Lattice, "delta", counting_delta)
+        monkeypatch.setattr(Lattice, "exp", counting_exp)
+        return built
+
+    def test_delta_built_once_per_model(self, monkeypatch):
+        # the benchmark's chain: densities verified, then the ratio bound,
+        # the decomposition and its check against those densities; each
+        # density builds its own e^{sigma eps} grid, and the model one for
+        # dS and the prices
+        built = self.count_exp(monkeypatch)
         m = random_model(4, n_max=3)
         densities = [mixture_density(m, random_alpha(m, s)) for s in range(2)]
         densities.append(SpotMeasure(m, next(all_selections(m))).as_density())
@@ -495,7 +503,52 @@ class TestKeptRatioBound:
         assert check_ratio_bound(m, surface).passed
         dec = optional_decompose(m, surface)
         assert verify_decomposition(m, surface, dec, densities).passed
+        assert check_ratio_bound(m, min_surface(m, 0.8 * m.s0)).passed
         assert built == {n: 1 + len(densities) for n in range(m.n_steps)}
+
+    def test_two_family_chains_take_three_grids_per_level(self, monkeypatch):
+        m = random_model(13, n_max=4)
+        assert m.n_steps == 4
+        surfaces = [wealth_surface(m, seed) for seed in range(2)]
+        built = self.count_exp(monkeypatch)
+        for seed, surface in enumerate(surfaces):
+            density = mixture_density(m, random_alpha(m, seed))
+            assert verify_martingale(m, density).passed
+            for payoff in (Payoff.call(m.s0), Payoff.asian_call(m.s0)):
+                measure_expectation(m, density, payoff)
+            check_ratio_bound(m, surface)
+            dec = optional_decompose(m, surface)
+            verify_decomposition(m, surface, dec, [density], 1e-6)
+        assert built == {n: 3 for n in range(m.n_steps)}
+
+
+class TestRowBlocks:
+    def test_small_blocks_change_nothing(self, monkeypatch):
+        """Every family output, with the levels worked through in blocks of
+        3 prefixes, is bit for bit the one-block result."""
+        def outputs(m):
+            density = mixture_density(m, random_alpha(m, 5))
+            spot = SpotMeasure(m, next(all_selections(m))).as_density()
+            out = [density.psi, density._residual_maxima,
+                   verify_martingale(m, density, 1e-30), spot.psi,
+                   measure_expectation(m, density, Payoff.asian_call(m.s0))]
+            for surface in (wealth_surface(m, 3), min_surface(m)):
+                out.append(check_ratio_bound(m, surface, 1e-30))
+                dec = optional_decompose(m, surface)
+                out += [dec, verify_decomposition(m, surface, dec,
+                                                  [density, spot], 1e-6),
+                        verify_decomposition(m, surface, dec, [], 1e-30),
+                        gamma_step(m, surface, m.n_steps,
+                                   (1,) * (m.n_steps - 1))]
+            return bits(out)
+
+        models = [random_model(seed, n_max=4, include_zero=seed % 2 == 1)
+                  for seed in range(12)]
+        models = [m for m in models if m.n_steps >= 2]
+        assert len(models) >= 6
+        one_block = [outputs(dataclasses.replace(m)) for m in models]
+        monkeypatch.setattr(_engine, "CHUNK_LEAVES", 3)
+        assert [outputs(dataclasses.replace(m)) for m in models] == one_block
 
 
 class TestReadOnlyLevels:

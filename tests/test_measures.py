@@ -99,8 +99,29 @@ class TestLattice:
         for level in lattice.sigma:
             with pytest.raises(ValueError):
                 level[0] = 1.0
+        for level in lattice.delta:
+            with pytest.raises(ValueError):
+                level[0, 0] = 1.0
         assert lattice.exp(0).flags.writeable
-        assert lattice.delta(0).flags.writeable
+
+    def test_delta_matches_the_formula_bit_for_bit(self):
+        # nine 4-atom steps: the last level has 65,536 prefixes, more than
+        # CHUNK_LEAVES
+        rng = SplitMix64(29)
+        steps = tuple(StepSpec(
+            rng.uniform_in(0.05, 0.9),
+            (ShockAtom(-0.9, 0.2), ShockAtom(-0.3, 0.3), ShockAtom(0.2, 0.3),
+             ShockAtom(0.8, 0.2)),
+            VolatilitySpec.garch11(rng.uniform_in(0.01, 0.09),
+                                   rng.uniform_in(0.0, 0.5),
+                                   rng.uniform_in(0.0, 0.4), 0.05))
+            for _ in range(9))
+        m = EvolutionModel(100.0, steps)
+        lattice = m.lattice
+        assert lattice.delta[-1].shape[0] > _engine.CHUNK_LEAVES
+        for n, (level, a) in enumerate(zip(lattice.delta, m.a_list)):
+            want = (lattice.exp(n) - 1.0) * (lattice.price[n] * a)[:, None]
+            assert bits(level) == bits(want), n
 
     def test_lattice_does_not_keep_its_model_alive(self):
         m = random_model(3, n_max=3)
@@ -287,6 +308,17 @@ class TestAlphaFromPartition:
 
 
 class TestMixtureDensity:
+    def test_value_rejects_cells_outside_the_density(self):
+        m = random_model(3, n_max=1)
+        m = EvolutionModel(m.s0, m.steps * 3)
+        density = mixture_density(m, random_alpha(m, 1))
+        assert density.value(2, (1,), 0) == density.psi[1][1, 0]
+        for n, history, atom in ((2, (), 0), (0, (1, 1), 0), (1, (), -1),
+                                 (3, (0,), 1), (1, (), len(m.steps[0].shocks)),
+                                 (4, (0, 0, 0), 0)):
+            with pytest.raises(ValidationError):
+                density.value(n, history, atom)
+
     def test_two_point_reduces_to_psi_weights(self):
         m = two_point_model(100.0, 0.7, 1.2, 0.8, p_down=0.4)
         density = mixture_density(m, random_alpha(m, 5))
